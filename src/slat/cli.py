@@ -210,6 +210,8 @@ def cmd_descent(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    if args.cases < 1:
+        raise ValueError(f"--cases must be at least 1, got {args.cases}")
     cfg = suite.SuiteConfig(
         seed=args.seed,
         cases=args.cases,

@@ -180,6 +180,8 @@ def _check_semilattice_table(size: int, table) -> tuple:
 
 
 def fin_algebra(size, ops, join, top=None) -> FinAlgebra:
+    if size < 1:
+        raise ValueError("carrier must have at least one element")
     ops = tuple(Operation(n, a, tuple(t)) for n, a, t in ops)
     for op in ops:
         if op.arity not in (1, 2):
@@ -232,41 +234,40 @@ def is_compatible(L: FinAlgebra, c: Congruence, table=None, arity=2) -> bool:
 
 @lru_cache(maxsize=None)
 def theta(L: FinAlgebra, x: int, y: int) -> Congruence:
-    """Least congruence of the basic operations identifying x and y."""
+    """Least congruence of the basic operations identifying x and y.
+
+    Worklist closure: whenever a pending pair (a, b) merges two classes,
+    its translations (f(a, z), f(b, z)) and (f(z, a), f(z, b)) under every
+    basic op f and every z are pushed.  Every pushed pair lies in each
+    congruence containing (x, y), and every merged pair has its
+    translations inside the result, so the result is compatible.
+    """
     n = L.size
     if not (0 <= x < n and 0 <= y < n):
         raise ValueError(f"elements must lie in 0..{n - 1}")
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
+    if x > y:
+        return theta(L, y, x)
+    block = list(range(n))
+    members = [[a] for a in range(n)]
+    pending = [(x, y)]
+    while pending:
+        a, b = pending.pop()
+        ra, rb = block[a], block[b]
         if ra == rb:
-            return False
-        parent[rb] = ra
-        return True
-
-    union(x, y)
-    changed = True
-    while changed:
-        changed = False
+            continue
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+        for c in members[rb]:
+            block[c] = ra
+        members[ra] += members[rb]
         for op in L.ops:
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if find(a) != find(b):
-                        continue
-                    if op.arity == 1:
-                        changed |= union(op.table[a], op.table[b])
-                    else:
-                        for z in range(n):
-                            changed |= union(op.table[a * n + z], op.table[b * n + z])
-                            changed |= union(op.table[z * n + a], op.table[z * n + b])
-    return congruence_from_blockof(find(a) for a in range(n))
+            t = op.table
+            if op.arity == 1:
+                pending.append((t[a], t[b]))
+            else:
+                pending += zip(t[a * n:a * n + n], t[b * n:b * n + n])
+                pending += zip(t[a::n], t[b::n])
+    return congruence_from_blockof(block)
 
 
 def theta_plus(L: FinAlgebra, x: int, y: int) -> Congruence:
@@ -291,6 +292,7 @@ def all_congruences(L: FinAlgebra) -> tuple:
     return tuple(sorted(found, key=lambda c: c.block_of))
 
 
+@lru_cache(maxsize=None)
 def check_congruence_compatible(L: FinAlgebra) -> bool:
     """Whether every congruence of L is compatible with the designated join."""
     return all(
@@ -357,11 +359,10 @@ def conc(L: FinAlgebra) -> ConcResult:
     zero = index[identity_congruence(L.size)]
     labels = tuple(c.serialize() for c in cons)
     sem = semilattice(k, table, zero, labels)
-    pair_index = {
-        (x, y): index[theta(L, x, y)]
-        for x in range(L.size)
-        for y in range(L.size)
-    }
+    pair_index = {}
+    for x in range(L.size):
+        for y in range(L.size):
+            pair_index[x, y] = pair_index[y, x] if y < x else index[theta(L, x, y)]
     return ConcResult(sem, cons, pair_index)
 
 

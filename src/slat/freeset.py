@@ -70,6 +70,8 @@ def parse_phi(text: str) -> PhiMap:
                 arity = int(line.split()[1])
             except (IndexError, ValueError) as exc:
                 raise FormatError(f"line {lineno}: bad arity") from exc
+            if arity < 0:
+                raise FormatError(f"line {lineno}: arity must not be negative")
         elif line.startswith("phi"):
             body = line[3:].strip()
             if "->" not in body:

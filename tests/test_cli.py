@@ -98,6 +98,25 @@ def test_con_erosion(capsys, tmp_path):
     assert "u1 {{0},{1,2}}" in out
 
 
+def test_con_erosion_incompatible_join_exit_2(capsys, tmp_path):
+    ch = corpus.chain(3)
+    path = tmp_path / "bare3.alg"
+    path.write_text(conlat.format_algebra(conlat.fin_algebra(3, [], ch.join)))
+    for _ in range(2):
+        code, out, err = run(capsys, "con", str(path), "erosion", "0", "0", "0", "1", "2")
+        assert code == 2 and out == ""
+        assert "congruence-compatible" in err
+
+
+def test_con_empty_carrier_exit_2(capsys, tmp_path):
+    path = tmp_path / "empty.alg"
+    path.write_text("alg 0\njoin\n")
+    for argv in (("conc",), ("theta", "0", "0")):
+        code, out, err = run(capsys, "con", str(path), *argv)
+        assert code == 2 and out == ""
+        assert "at least one element" in err
+
+
 def test_con_perm(capsys, tmp_path):
     path = tmp_path / "c4.alg"
     path.write_text(conlat.format_algebra(corpus.chain(4)))
@@ -146,6 +165,14 @@ def test_freeset_files(capsys, tmp_path):
     assert code == 0 and out == "free {0,1}\n"
 
 
+def test_freeset_negative_arity_exit_2(capsys, tmp_path):
+    path = tmp_path / "neg.phi"
+    path.write_text("ground 0 1\narity -1\n")
+    code, out, err = run(capsys, "freeset", str(path))
+    assert code == 2 and out == ""
+    assert "line 2" in err
+
+
 @pytest.fixture
 def fixture_file(tmp_path):
     path = tmp_path / "fix.dsc"
@@ -188,6 +215,13 @@ def test_suite_single(capsys):
     )
     assert code == 0
     assert out == "suite relations cases=20 failures=0\nall-passed true\n"
+
+
+def test_suite_cases_below_one_exit_2(capsys):
+    for cases in ("0", "-3"):
+        code, out, err = run(capsys, "suite", "--only", "relations", "--cases", cases)
+        assert code == 2 and out == ""
+        assert "--cases" in err
 
 
 def test_suite_unknown_name(capsys):

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -93,6 +94,43 @@ def test_theta_matches_brute_force():
                 assert theta(L, x, y) == brute_theta(L, x, y)
 
 
+def test_theta_symmetric_on_corpus():
+    for name, L in corpus.bundled_corpus():
+        for x in range(L.size):
+            for y in range(L.size):
+                assert theta(L, x, y) == theta(L, y, x), (name, x, y)
+
+
+# The products the con-large benchmark workload runs: too big for
+# brute_theta, but each factor is small.  Congruences of a product of
+# lattices are products of congruences of the factors, so theta on the
+# product must be the product of brute_theta on the factors.
+PRODUCT_FACTORS = (
+    ("chain2", "2x2_top"), ("chain2", "n5"), ("chain2", "chain5"),
+    ("chain2", "m3"), ("chain2", "2x3"), ("chain2", "hexagon"), ("chain3", "n5"),
+)
+
+
+def test_theta_matches_product_of_brute_theta():
+    from slat.suite import brute_theta
+
+    named = dict(corpus.bundled_corpus())
+    factor_theta = functools.lru_cache(maxsize=None)(brute_theta)
+
+    for a, b in PRODUCT_FACTORS:
+        A, B = named[a], named[b]
+        P = corpus.product(A, B)
+        nb = B.size
+        for i in range(P.size):
+            for j in range(P.size):
+                ca = factor_theta(A, i // nb, j // nb)
+                cb = factor_theta(B, i % nb, j % nb)
+                expected = conlat.congruence_from_blockof(
+                    (ca.block_of[k // nb], cb.block_of[k % nb]) for k in range(P.size)
+                )
+                assert theta(P, i, j) == expected, (a, b, i, j)
+
+
 def test_theta_plus():
     L = corpus.chain(3)
     assert theta_plus(L, 0, 2) == identity_congruence(3)  # x <= y
@@ -147,6 +185,16 @@ def test_congruence_compatibility():
     # one- and two-element carriers survive even with no basic ops
     assert check_congruence_compatible(bare_chain(1))
     assert check_congruence_compatible(bare_chain(2))
+
+
+def test_cached_compatibility_still_rejects():
+    L = bare_chain(3)
+    check_congruence_compatible.cache_clear()
+    for _ in range(2):
+        assert not check_congruence_compatible(L)
+        with pytest.raises(DomainError, match="congruence-compatible"):
+            erosion(L, 0, 0, (0, 1, 2))
+    assert check_congruence_compatible.cache_info().hits >= 3
 
 
 def test_is_compatible_specific():
@@ -367,3 +415,5 @@ def test_algebra_format_errors():
         parse_algebra("alg 2\njoin 0 1 1 0\n")  # not idempotent
     with pytest.raises(FormatError):
         parse_algebra("alg 2\nfrobnicate\njoin 0 1 1 1\n")
+    with pytest.raises(FormatError, match="at least one element"):
+        parse_algebra("alg 0\njoin\n")
