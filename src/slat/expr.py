@@ -24,6 +24,7 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+|[();,\[\]]|\s+|.")
+_VALID = re.compile(r"[A-Za-z0-9_]+|[();,\[\]]")
 
 
 class _Token:
@@ -41,7 +42,7 @@ def _tokenize(text: str) -> list:
     for match in _TOKEN.finditer(text):
         tok = match.group(0)
         if not tok.isspace():
-            if not re.fullmatch(r"[A-Za-z0-9_]+|[();,\[\]]", tok):
+            if not _VALID.fullmatch(tok):
                 raise ParseError(f"unexpected character {tok!r}", line, col)
             tokens.append(_Token(tok, line, col))
         newlines = tok.count("\n")

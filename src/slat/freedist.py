@@ -44,7 +44,7 @@ interpreter stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Any, NamedTuple
 
@@ -82,10 +82,35 @@ class Triple(NamedTuple):
     w: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Node:
+    """A canonical element of rank >= 1; hashed once, at construction.
+
+    The memo tables below are keyed on nested ``Node`` trees, so the hash
+    of ``(proj, triples)`` is cached rather than rebuilt per lookup, and
+    equality tries identity and the cached hash before the fields.
+    """
+
     proj: Any
     triples: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.proj, self.triples)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.proj == other.proj
+            and self.triples == other.triples
+        )
 
     def __repr__(self):
         triples = ", ".join(f"({t.u!r},{t.v!r},{t.w!r})" for t in self.triples)
@@ -355,9 +380,3 @@ def validate(base: Base, x):
     if len(set(keys)) != len(keys):
         raise ReducedFormError("ordering", "duplicate triples")
     return x
-
-
-def clear_caches():
-    """Drop all memoized results (per-process caches, test hygiene)."""
-    for fn in (rank, serialize, leq, join, validate):
-        fn.cache_clear()

@@ -245,10 +245,6 @@ class SweepReport:
         return not self.counterexamples
 
 
-def cancellation_universe(xi: str, max_triples: int = 2) -> list:
-    return all_rank1({xi}, max_triples)
-
-
 def cancellation_sweep(xi: str, alpha: str, max_triples: int = 2) -> SweepReport:
     """Exhaustive rank <= 1 cancellation sweep over one live generator.
 
@@ -258,7 +254,7 @@ def cancellation_sweep(xi: str, alpha: str, max_triples: int = 2) -> SweepReport
     if xi == alpha:
         raise ValueError("alpha must be fresh")
     report = SweepReport(name="cancellation")
-    univ = cancellation_universe(xi, max_triples)
+    univ = all_rank1({xi}, max_triples)
     for i in (0, 1):
         a = gen(i, alpha)
         for y in univ:

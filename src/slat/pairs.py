@@ -9,20 +9,45 @@ lexicographically; that order fixes all serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class PairElem:
+    """A pair-semilattice value; its hash is computed once, at construction.
+
+    Elements key every memo table of the extension, nested inside
+    ``Node`` trees, so a hash recomputed on each lookup would walk the
+    whole tree.  The cached value is the tuple hash of the fields, and
+    equality tries identity and the cached hash before the fields.
+    """
+
     pos: frozenset = frozenset()
     neg: frozenset = frozenset()
     top: bool = False
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.top and (self.pos or self.neg):
             raise ValueError("top carries no generator sets")
         if self.pos & self.neg:
             raise ValueError("pos and neg must be disjoint")
+        object.__setattr__(self, "_hash", hash((self.pos, self.neg, self.top)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.pos == other.pos
+            and self.neg == other.neg
+            and self.top == other.top
+        )
 
     def __repr__(self):
         return serialize(self)

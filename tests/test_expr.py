@@ -26,7 +26,8 @@ def test_parse_errors_carry_position():
     assert err.value.line == 1 and err.value.col == 11
     with pytest.raises(ParseError) as err:
         parse("join(a0(x),\n  %)")
-    assert err.value.line == 2
+    assert err.value.line == 2 and err.value.col == 3
+    assert str(err.value) == "2:3: unexpected character '%'"
     with pytest.raises(ParseError):
         parse("join(a0(x))")  # arity
     with pytest.raises(ParseError):

@@ -1,8 +1,11 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slat import conlat, freedist, freepairs
+from slat import conlat, expr, freedist, freepairs
 from slat.freedist import (
     DomainError,
     Node,
@@ -462,3 +465,73 @@ def test_serialize_deterministic_sorted():
     text = serialize(BASE, x)
     assert text.startswith("red(pair([],[]); [(")
     assert serialize(BASE, x) == text
+
+
+# -- element contract: cached hash, identity-first equality ------------------
+
+
+def contract_samples():
+    rng = random.Random("freedist:contract")
+    out = [join(BASE, bowtie(BASE, A0, A1, ONE), bowtie(BASE, B0, B1, ONE))]
+    while len(out) < 40:
+        x = freepairs.random_elem(rng, ("x", "y", "z"), 2)
+        if isinstance(x, Node):
+            out.append(x)
+    return out
+
+
+def test_node_hash_is_field_tuple_hash():
+    for n in contract_samples():
+        assert hash(n) == hash((n.proj, n.triples))
+
+
+def rebuild(x):
+    """A structurally equal copy of x that shares no element object."""
+    if isinstance(x, Node):
+        triples = tuple(Triple(*(rebuild(c) for c in t)) for t in x.triples)
+        return Node(rebuild(x.proj), triples)
+    return type(x)(frozenset(x.pos), frozenset(x.neg), x.top)
+
+
+def test_rebuilt_node_equal_not_identical():
+    # deserialize returns validate's memoized representative, which may be
+    # n itself; rebuild always gives a distinct object.
+    for n in contract_samples():
+        back = expr.deserialize(serialize(BASE, n))
+        assert back == n and hash(back) == hash(n)
+        copy = rebuild(n)
+        assert copy == n and hash(copy) == hash(n)
+        assert copy is not n and copy.triples[0].u is not n.triples[0].u
+
+
+def test_node_compare_with_other_types_is_false():
+    n = bowtie(BASE, A0, B0, A0)
+    for other in (A0, ZERO, ONE, 0, None):
+        assert (n == other) is False and (other == n) is False
+        assert n != other
+
+
+def test_node_fields_stay_frozen():
+    n = bowtie(BASE, A0, B0, A0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        n.proj = ONE
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        n.triples = ()
+
+
+def test_node_repr_unchanged():
+    n = bowtie(BASE, A0, B0, A0)
+    assert repr(n) == (
+        "red(pair([],[]); [(pair([x],[]),pair([y],[]),pair([x],[]))])"
+    )
+    assert repr(n) == serialize(BASE, n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 63), st.integers(0, 63))
+def test_equality_matches_serialization_and_hash(i, j):
+    x = freepairs.random_elem(random.Random(i), ("x", "y"), max_rank=2)
+    y = freepairs.random_elem(random.Random(j), ("x", "y"), max_rank=2)
+    assert (serialize(BASE, x) == serialize(BASE, y)) == (x == y)
+    if x == y:
+        assert hash(x) == hash(y)

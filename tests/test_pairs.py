@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from slat import pairs
+from slat import expr, freedist, freepairs, pairs
 from slat.pairs import TOP, ZERO, gen, join, leq, map_generators, mentions, retract
 
 
@@ -144,6 +145,54 @@ def test_serialization():
 def test_disjointness_enforced():
     with pytest.raises(ValueError):
         pairs.PairElem(frozenset("x"), frozenset("x"))
+    with pytest.raises(ValueError):
+        pairs.PairElem(frozenset("x"), top=True)
+
+
+# -- element contract: cached hash, identity-first equality ------------------
+
+
+def test_hash_is_field_tuple_hash():
+    for p in U2:
+        assert hash(p) == hash((p.pos, p.neg, p.top))
+
+
+def test_rebuilt_element_equal_not_identical():
+    # deserialize returns validate's memoized representative, which may be
+    # p itself; a field-by-field copy is always a distinct object.
+    for p in U2:
+        back = expr.deserialize(pairs.serialize(p))
+        assert back == p and hash(back) == hash(p)
+        copy = pairs.PairElem(frozenset(p.pos), frozenset(p.neg), p.top)
+        assert copy == p and hash(copy) == hash(p)
+        assert copy is not p
+    assert [a == b for a in U2 for b in U2] == [
+        a is b for a in U2 for b in U2
+    ]
+
+
+def test_compare_with_other_types_is_false():
+    node = freepairs.bowtie(gen(0, "x"), gen(0, "y"), gen(0, "x"))
+    assert isinstance(node, freedist.Node)
+    for p in (ZERO, TOP, gen(0, "x")):
+        assert (p == node) is False and (node == p) is False
+        assert (p == 0) is False and (0 == p) is False
+        assert p != node and p != 0
+
+
+def test_fields_stay_frozen():
+    p = gen(0, "x")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.pos = frozenset()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.top = True
+
+
+def test_repr_is_serialization():
+    p = pairs.PairElem(frozenset(("b", "a")), frozenset("c"))
+    assert repr(p) == "pair([a,b],[c])"
+    assert repr(ZERO) == "pair([],[])"
+    assert repr(TOP) == "top"
 
 
 # ---------------------------------------------------------------------------
