@@ -15,33 +15,30 @@ from pathlib import Path
 from . import conlat, descent, expr, freedist, freepairs, freeset, suite
 
 
-def _eval(text: str):
-    return expr.parse_eval(text)
-
-
 def cmd_eval(args) -> int:
-    print(expr.serialize(_eval(args.expr)))
+    print(expr.serialize(expr.parse_eval(args.expr)))
     return 0
 
 
 def cmd_leq(args) -> int:
-    ok = freepairs.leq(_eval(args.left), _eval(args.right))
+    ok = freepairs.leq(expr.parse_eval(args.left), expr.parse_eval(args.right))
     print("true" if ok else "false")
     return 0 if ok else 1
 
 
 def cmd_join(args) -> int:
-    print(expr.serialize(freepairs.join(_eval(args.left), _eval(args.right))))
+    x, y = expr.parse_eval(args.left), expr.parse_eval(args.right)
+    print(expr.serialize(freepairs.join(x, y)))
     return 0
 
 
 def cmd_rank(args) -> int:
-    print(freepairs.rank(_eval(args.expr)))
+    print(freepairs.rank(expr.parse_eval(args.expr)))
     return 0
 
 
 def cmd_supp(args) -> int:
-    print(" ".join(sorted(freepairs.support(_eval(args.expr)))))
+    print(" ".join(sorted(freepairs.support(expr.parse_eval(args.expr)))))
     return 0
 
 
@@ -57,26 +54,22 @@ def cmd_check_evaporation(args) -> int:
         args.delta,
         args.i,
         args.j,
-        _eval(args.x),
-        _eval(args.y),
-        _eval(args.z),
+        expr.parse_eval(args.x),
+        expr.parse_eval(args.y),
+        expr.parse_eval(args.z),
     )
     return _print_verdict(verdict)
 
 
 def cmd_check_lemma44(args) -> int:
     verdict = freepairs.check_cancellation(
-        args.alpha, args.i, _eval(args.x), _eval(args.y)
+        args.alpha, args.i, expr.parse_eval(args.x), expr.parse_eval(args.y)
     )
     return _print_verdict(verdict)
 
 
-def _load_algebra(path: str) -> conlat.FinAlgebra:
-    return conlat.parse_algebra(Path(path).read_text())
-
-
 def cmd_con(args) -> int:
-    L = _load_algebra(args.file)
+    L = conlat.parse_algebra(Path(args.file).read_text())
     if args.con_cmd == "conc":
         result = conlat.conc(L)
         print(f"conc size={result.table.size} zero={result.table.zero}")
@@ -116,7 +109,7 @@ def cmd_con(args) -> int:
             print(f"proj {x} -> {b}")
         return 0
     if args.con_cmd == "wd":
-        mu = _parse_semhom(Path(args.mufile).read_text(), conlat.conc(L).table)
+        mu = conlat.parse_semhom(Path(args.mufile).read_text(), conlat.conc(L).table)
         all_ok = True
         for x in range(mu.dom.size):
             ok = conlat.weakly_distributive_at(mu, x)
@@ -125,46 +118,6 @@ def cmd_con(args) -> int:
         print(f"weakly_distributive {'true' if all_ok else 'false'}")
         return 0 if all_ok else 1
     raise AssertionError(args.con_cmd)
-
-
-def _parse_semhom(text: str, dom: conlat.SemilatticeTable) -> conlat.SemHom:
-    size = None
-    join = None
-    zero = None
-    image = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        try:
-            if tok[0] == "sem":
-                size = int(tok[1])
-            elif tok[0] == "join":
-                join = [int(t) for t in tok[1:]]
-            elif tok[0] == "zero":
-                zero = int(tok[1])
-            elif tok[0] == "map":
-                image[int(tok[1])] = int(tok[2])
-            else:
-                raise conlat.FormatError(
-                    f"line {lineno}: unknown directive {tok[0]!r}"
-                )
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, conlat.FormatError):
-                raise
-            raise conlat.FormatError(f"line {lineno}: {exc}") from exc
-    if size is None or join is None or zero is None:
-        raise conlat.FormatError("map file needs sem/join/zero lines")
-    cod = conlat.semilattice(size, join, zero)
-    if sorted(image) != list(range(dom.size)):
-        raise conlat.FormatError(
-            f"map lines must cover domain indices 0..{dom.size - 1}"
-        )
-    try:
-        return conlat.sem_hom(dom, cod, [image[i] for i in range(dom.size)])
-    except ValueError as exc:
-        raise conlat.FormatError(str(exc)) from exc
 
 
 def cmd_freeset(args) -> int:

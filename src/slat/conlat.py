@@ -275,20 +275,27 @@ def theta_plus(L: FinAlgebra, x: int, y: int) -> Congruence:
     return theta(L, y, L.join_of(x, y))
 
 
+def join_closure(gens, join) -> frozenset:
+    """The closure of gens under the binary operation join.
+
+    Each pass joins only what the previous pass found with everything
+    found so far; the loop ends when a pass finds nothing new.
+    """
+    found = set(gens)
+    frontier = set(found)
+    while frontier:
+        frontier = {join(a, b) for a in frontier for b in found} - found
+        found |= frontier
+    return frozenset(found)
+
+
 @lru_cache(maxsize=None)
 def all_congruences(L: FinAlgebra) -> tuple:
     """Every congruence of L: principal congruences closed under join."""
-    found = {theta(L, x, y) for x in range(L.size) for y in range(x, L.size)}
-    frontier = set(found)
-    while frontier:
-        fresh = set()
-        for c1 in frontier:
-            for c2 in found:
-                j = part_join(c1, c2)
-                if j not in found and j not in fresh:
-                    fresh.add(j)
-        found |= fresh
-        frontier = fresh
+    found = join_closure(
+        (theta(L, x, y) for x in range(L.size) for y in range(x, L.size)),
+        part_join,
+    )
     return tuple(sorted(found, key=lambda c: c.block_of))
 
 
@@ -354,8 +361,8 @@ def conc(L: FinAlgebra) -> ConcResult:
     k = len(cons)
     table = [0] * (k * k)
     for i, c1 in enumerate(cons):
-        for j, c2 in enumerate(cons):
-            table[i * k + j] = index[part_join(c1, c2)]
+        for j in range(i, k):
+            table[i * k + j] = table[j * k + i] = index[part_join(c1, cons[j])]
     zero = index[identity_congruence(L.size)]
     labels = tuple(c.serialize() for c in cons)
     sem = semilattice(k, table, zero, labels)
@@ -538,19 +545,9 @@ def epsilon(n: int) -> int:
 def conc_sub(L: FinAlgebra, U: frozenset) -> frozenset:
     """The subsemilattice of Conc L generated by principal congruences
     over pairs from U."""
-    found = {identity_congruence(L.size)}
-    found |= {theta(L, u, v) for u in U for v in U}
-    frontier = set(found)
-    while frontier:
-        fresh = set()
-        for c1 in frontier:
-            for c2 in found:
-                j = part_join(c1, c2)
-                if j not in found and j not in fresh:
-                    fresh.add(j)
-        found |= fresh
-        frontier = fresh
-    return frozenset(found)
+    gens = [identity_congruence(L.size)]
+    gens += [theta(L, u, v) for u in U for v in U]
+    return join_closure(gens, part_join)
 
 
 class ErosionResult(NamedTuple):
@@ -638,63 +635,136 @@ class TableBase(freedist.Base):
 
 
 # ---------------------------------------------------------------------------
-# File format
+# File formats
 
 
-def _tokenize_lines(text: str):
+def read_directives(text: str, directives: dict) -> None:
+    """Feed every directive line of text to its handler.
+
+    The rules every slat file format shares: ``#`` starts a comment,
+    blank lines are skipped, and a line's first token names its
+    directive, matched as a whole token.  ``directives`` maps each name
+    to ``(count, handler)``; a line must carry exactly ``count`` more
+    tokens (any number when ``count`` is None), and the handler gets them
+    as a list.  A ValueError or IndexError raised while reading a line
+    becomes a FormatError that names the line's number in text.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        tok = raw.split("#", 1)[0].split()
+        if not tok:
+            continue
+        try:
+            if tok[0] not in directives:
+                raise ValueError(f"unknown directive {tok[0]!r}")
+            count, handler = directives[tok[0]]
+            if count is not None and len(tok) - 1 != count:
+                raise ValueError(
+                    f"{tok[0]} takes {count} argument{'s' * (count != 1)}, "
+                    f"got {len(tok) - 1}"
+                )
+            handler(tok[1:])
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+
+
+class AlgebraReader:
+    """The ``alg <k>``, ``op <name> <arity> <row-major table>``,
+    ``join <name-or-table>`` and ``top <idx>`` directives of one algebra.
+
+    Formats that embed an algebra merge ``directives`` into their own
+    before calling read_directives, then call ``algebra()``.
+    """
+
+    def __init__(self):
+        self.size = self.join_spec = self.top = None
+        self.ops = {}
+        self.directives = {
+            "alg": (1, self._alg),
+            "op": (None, self._op),
+            "join": (None, self._join),
+            "top": (1, self._top),
+        }
+
+    def _alg(self, args):
+        self.size = int(args[0])
+
+    def _op(self, args):
+        name, arity = args[0], int(args[1])
+        if name in self.ops:
+            raise ValueError(f"operation {name!r} defined twice")
+        self.ops[name] = (name, arity, [int(t) for t in args[2:]])
+
+    def _join(self, args):
+        self.join_spec = args
+
+    def _top(self, args):
+        self.top = int(args[0])
+
+    def algebra(self) -> FinAlgebra:
+        if self.size is None:
+            raise FormatError("missing 'alg <k>' header")
+        if self.join_spec is None:
+            raise FormatError("missing 'join' line")
+        spec = self.join_spec
+        if len(spec) == 1 and not spec[0].lstrip("-").isdigit():
+            if spec[0] not in self.ops:
+                raise FormatError(f"join refers to unknown operation {spec[0]!r}")
+            _, arity, join_table = self.ops[spec[0]]
+            if arity != 2:
+                raise FormatError("designated join must be binary")
+        else:
+            try:
+                join_table = [int(t) for t in spec]
+            except ValueError as exc:
+                raise FormatError(f"bad join table: {exc}") from exc
+        try:
+            return fin_algebra(self.size, self.ops.values(), join_table, self.top)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
 
 
 def parse_algebra(text: str) -> FinAlgebra:
-    """Parse the line-oriented algebra format.
+    """Parse the line-oriented algebra format (see AlgebraReader)."""
+    reader = AlgebraReader()
+    read_directives(text, reader.directives)
+    return reader.algebra()
 
-    ``alg <k>`` then ``op <name> <arity> <row-major table>`` lines, one
-    ``join <name-or-table>`` line, and optionally ``top <idx>``.
-    """
-    size = None
-    ops = []
-    join_spec = None
-    top = None
-    for lineno, tok in _tokenize_lines(text):
-        kind = tok[0]
-        try:
-            if kind == "alg":
-                size = int(tok[1])
-            elif kind == "op":
-                name, arity = tok[1], int(tok[2])
-                ops.append((name, arity, [int(t) for t in tok[3:]]))
-            elif kind == "join":
-                join_spec = tok[1:]
-            elif kind == "top":
-                top = int(tok[1])
-            else:
-                raise FormatError(f"line {lineno}: unknown directive {kind!r}")
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(f"line {lineno}: {exc}") from exc
-    if size is None:
-        raise FormatError("missing 'alg <k>' header")
-    if join_spec is None:
-        raise FormatError("missing 'join' line")
-    if len(join_spec) == 1 and not join_spec[0].lstrip("-").isdigit():
-        named = {op[0]: op for op in ops}
-        if join_spec[0] not in named:
-            raise FormatError(f"join refers to unknown operation {join_spec[0]!r}")
-        name, arity, table = named[join_spec[0]]
-        if arity != 2:
-            raise FormatError("designated join must be binary")
-        join_table = table
-    else:
-        try:
-            join_table = [int(t) for t in join_spec]
-        except ValueError as exc:
-            raise FormatError(f"bad join table: {exc}") from exc
+
+def parse_semhom(text: str, dom: SemilatticeTable) -> SemHom:
+    """Parse a map from dom into a semilattice given by ``sem <k>``,
+    ``join <table>`` and ``zero <idx>``, with one ``map <x> <image>`` line
+    for each element x of dom."""
+    header = {}
+    image = {}
+
+    def sem(args):
+        header["size"] = int(args[0])
+
+    def join(args):
+        header["join"] = [int(t) for t in args]
+
+    def zero(args):
+        header["zero"] = int(args[0])
+
+    def map_line(args):
+        image[int(args[0])] = int(args[1])
+
+    read_directives(
+        text,
+        {
+            "sem": (1, sem),
+            "join": (None, join),
+            "zero": (1, zero),
+            "map": (2, map_line),
+        },
+    )
+    if len(header) != 3:
+        raise FormatError("map file needs sem/join/zero lines")
+    cod = semilattice(header["size"], header["join"], header["zero"])
+    if sorted(image) != list(range(dom.size)):
+        raise FormatError(f"map lines must cover domain indices 0..{dom.size - 1}")
     try:
-        return fin_algebra(size, ops, join_table, top)
+        return sem_hom(dom, cod, [image[i] for i in range(dom.size)])
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -70,10 +70,6 @@ def product(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
     return lattice_from_covers(len(elems), covers)
 
 
-def _add_top(covers, size):
-    return covers + [(size - 1, size)], size + 1
-
-
 def n5() -> FinAlgebra:
     # 0 < 1 < 2 < 4 and 0 < 3 < 4
     return lattice_from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])

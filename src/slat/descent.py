@@ -241,18 +241,7 @@ def s_of(D: DescentInstance, X) -> frozenset:
         for i in range(D.n + 1)
         for xi in X
     }
-    found = set(gens)
-    frontier = set(gens)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in found:
-                j = D.algebra.join_of(a, b)
-                if j not in found and j not in fresh:
-                    fresh.add(j)
-        found |= fresh
-        frontier = fresh
-    return frozenset(found)
+    return conlat.join_closure(gens, D.algebra.join_of)
 
 
 def phi_from_instance(D: DescentInstance, X) -> frozenset:
@@ -271,38 +260,39 @@ def phi_from_instance(D: DescentInstance, X) -> frozenset:
 
 
 def parse_instance(text: str) -> DescentInstance:
-    """Algebra directives plus ``t``, ``z``, ``mu`` and optional ``U`` lines."""
-    algebra_lines = []
+    """Algebra directives plus ``t <r> <elem>``, ``z <r> <i> <name> <elem>``,
+    ``mu <x> <y> <expression>`` and optional ``U <names>`` lines."""
+    algebra = conlat.AlgebraReader()
     t_entries = {}
     z = {}
     mu_lines = []
     u_names = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        kind = tok[0]
-        try:
-            if kind in ("alg", "op", "join", "top"):
-                algebra_lines.append(line)
-            elif kind == "t":
-                t_entries[int(tok[1])] = int(tok[2])
-            elif kind == "z":
-                z[(int(tok[1]), int(tok[2]), tok[3])] = int(tok[4])
-            elif kind == "mu":
-                x, y = int(tok[1]), int(tok[2])
-                value = expr.parse_eval(" ".join(tok[3:]))
-                mu_lines.append((x, y, value))
-            elif kind == "U":
-                u_names = tuple(sorted(tok[1:]))
-            else:
-                raise FormatError(f"line {lineno}: unknown directive {kind!r}")
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(f"line {lineno}: {exc}") from exc
-    L = conlat.parse_algebra("\n".join(algebra_lines))
+
+    def t_line(args):
+        t_entries[int(args[0])] = int(args[1])
+
+    def z_line(args):
+        z[(int(args[0]), int(args[1]), args[2])] = int(args[3])
+
+    def mu_line(args):
+        x, y = int(args[0]), int(args[1])
+        mu_lines.append((x, y, expr.parse_eval(" ".join(args[2:]))))
+
+    def u_line(args):
+        nonlocal u_names
+        u_names = tuple(sorted(args))
+
+    conlat.read_directives(
+        text,
+        {
+            **algebra.directives,
+            "t": (2, t_line),
+            "z": (4, z_line),
+            "mu": (None, mu_line),
+            "U": (None, u_line),
+        },
+    )
+    L = algebra.algebra()
     if sorted(t_entries) != list(range(len(t_entries))) or not t_entries:
         raise FormatError("t lines must cover 0..m-1")
     t = tuple(t_entries[r] for r in range(len(t_entries)))
@@ -327,13 +317,9 @@ def format_instance(D: DescentInstance) -> str:
     for (r, i, xi) in sorted(D.z):
         lines.append(f"z {r} {i} {xi} {D.z[(r, i, xi)]}")
     for x, y, value in D.mu_lines:
-        lines.append(f"mu {x} {y} {_value_as_expr(value)}")
+        lines.append(f"mu {x} {y} {expr.to_expr(value)}")
     lines.append("U " + " ".join(D.u_set))
     return "\n".join(lines) + "\n"
-
-
-def _value_as_expr(value) -> str:
-    return expr.to_expr(value)
 
 
 # ---------------------------------------------------------------------------

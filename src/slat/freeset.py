@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .conlat import FormatError
+from .conlat import FormatError, read_directives
 
 
 @dataclass
@@ -44,10 +44,10 @@ def find_free(phi: PhiMap):
     return None
 
 
-def _parse_set(text: str, lineno: int) -> frozenset:
+def _parse_set(text: str) -> frozenset:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
-        raise FormatError(f"line {lineno}: expected {{...}} set, got {text!r}")
+        raise ValueError(f"expected {{...}} set, got {text!r}")
     body = text[1:-1].strip()
     if not body:
         return frozenset()
@@ -59,27 +59,31 @@ def parse_phi(text: str) -> PhiMap:
     ground = None
     arity = None
     images = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("ground"):
-            ground = tuple(sorted(line.split()[1:]))
-        elif line.startswith("arity"):
-            try:
-                arity = int(line.split()[1])
-            except (IndexError, ValueError) as exc:
-                raise FormatError(f"line {lineno}: bad arity") from exc
-            if arity < 0:
-                raise FormatError(f"line {lineno}: arity must not be negative")
-        elif line.startswith("phi"):
-            body = line[3:].strip()
-            if "->" not in body:
-                raise FormatError(f"line {lineno}: phi line needs '->'")
-            left, right = body.split("->", 1)
-            images[_parse_set(left, lineno)] = _parse_set(right, lineno)
-        else:
-            raise FormatError(f"line {lineno}: unknown directive")
+
+    def ground_line(args):
+        nonlocal ground
+        ground = tuple(sorted(args))
+
+    def arity_line(args):
+        nonlocal arity
+        arity = int(args[0])
+        if arity < 0:
+            raise ValueError("arity must not be negative")
+
+    def phi_line(args):
+        left, arrow, right = " ".join(args).partition("->")
+        if not arrow:
+            raise ValueError("phi line needs '->'")
+        images[_parse_set(left)] = _parse_set(right)
+
+    read_directives(
+        text,
+        {
+            "ground": (None, ground_line),
+            "arity": (1, arity_line),
+            "phi": (None, phi_line),
+        },
+    )
     if ground is None or arity is None:
         raise FormatError("phi file needs 'ground' and 'arity' lines")
     phi = PhiMap(ground, arity, images)

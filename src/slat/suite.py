@@ -101,156 +101,103 @@ def free_oracle(U, phi: freeset.PhiMap) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Properties
+#
+# One function per property.  The suites below and the acceptance tests
+# both call them, each with cases drawn from its own rng streams.
 
 
-def run_relations(cfg: SuiteConfig) -> SuiteResult:
-    names = cfg.names()
-    failures = 0
-    for idx in range(cfg.cases):
-        rng = cfg.rng("relations", idx)
-        a, b, c = freepairs.random_triple(rng, names, cfg.max_rank)
-        x = freepairs.bowtie(a, b, c)
-        y = freepairs.bowtie(b, a, c)
-        if freepairs.join(x, y) != c or not freepairs.leq(x, a):
-            failures += 1
-    result = SuiteResult("relations", failures == 0)
-    result.lines.append(
-        f"suite relations cases={cfg.cases} failures={failures}"
+def relations(a, b, c) -> bool:
+    """The defining relations of the splitting elements at (a, b, c)."""
+    x = freepairs.bowtie(a, b, c)
+    y = freepairs.bowtie(b, a, c)
+    return freepairs.join(x, y) == c and freepairs.leq(x, a)
+
+
+def lub(x, y, noise) -> bool:
+    """x v y is an upper bound of x and y that lies below (x v y) v noise,
+    and join is commutative, idempotent, unital and associative there."""
+    w = freepairs.join(x, y)
+    z = freepairs.join(w, noise)
+    return (
+        freepairs.leq(x, w)
+        and freepairs.leq(y, w)
+        and freepairs.leq(w, z)
+        and w == freepairs.join(y, x)
+        and freepairs.join(x, x) == x
+        and freepairs.join(x, freepairs.ZERO) == x
+        and z == freepairs.join(x, freepairs.join(y, noise))
     )
-    return result
 
 
-def run_lub(cfg: SuiteConfig) -> SuiteResult:
-    names = cfg.names()
-    failures = 0
-    for idx in range(cfg.cases):
-        rng = cfg.rng("lub", idx)
-        x = freepairs.random_elem(rng, names, cfg.max_rank)
-        y = freepairs.random_elem(rng, names, cfg.max_rank)
-        w = freepairs.join(x, y)
-        noise = freepairs.random_elem(rng, names, cfg.max_rank)
-        z = freepairs.join(w, noise)
-        ok = (
-            freepairs.leq(x, w)
-            and freepairs.leq(y, w)
-            and freepairs.leq(w, z)
-            and freepairs.join(x, y) == freepairs.join(y, x)
-            and freepairs.join(x, x) == x
-            and freepairs.join(x, freepairs.ZERO) == x
-            and freepairs.join(freepairs.join(x, y), noise)
-            == freepairs.join(x, freepairs.join(y, noise))
-        )
-        if not ok:
-            failures += 1
-    result = SuiteResult("lub", failures == 0)
-    result.lines.append(f"suite lub cases={cfg.cases} failures={failures}")
-    return result
-
-
-def run_confluence(cfg: SuiteConfig) -> SuiteResult:
-    names = cfg.names()
-    instances = max(100, cfg.cases // 5)
-    orders = 10
-    failures = 0
-    for idx in range(instances):
-        rng = cfg.rng("confluence", idx)
-        x = freepairs.random_elem(rng, names, cfg.max_rank)
-        y = freepairs.random_elem(rng, names, cfg.max_rank)
-        want = freepairs.serialize(freepairs.join(x, y))
-        for k in range(orders):
-            order_rng = cfg.rng("confluence-order", idx * orders + k)
-            got = freepairs.serialize(
-                freedist.join_with_order(BASE, x, y, order_rng)
-            )
-            if got != want:
-                failures += 1
-    result = SuiteResult("confluence", failures == 0)
-    result.lines.append(
-        f"suite confluence instances={instances} orders={orders} "
-        f"failures={failures}"
+def confluence(x, y, order_rngs) -> int:
+    """How many of the rule orders drawn from order_rngs rewrite x v y to
+    a different normal form than join does."""
+    want = freepairs.serialize(freepairs.join(x, y))
+    return sum(
+        freepairs.serialize(freedist.join_with_order(BASE, x, y, rng)) != want
+        for rng in order_rngs
     )
-    return result
 
 
-def run_functoriality(cfg: SuiteConfig) -> SuiteResult:
-    names = cfg.names()
-    failures = 0
-    for idx in range(cfg.cases):
-        rng = cfg.rng("functoriality", idx)
-        fmap = {n: rng.choice(names) for n in names}
-        gmap = {n: rng.choice(names) for n in names}
-        x = freepairs.random_elem(rng, names, cfg.max_rank)
-        ok = freepairs.map_names(lambda n: n, x) == x
-        ok = ok and freepairs.map_names(
-            lambda n: gmap[fmap[n]], x
-        ) == freepairs.map_names(lambda n: gmap[n], freepairs.map_names(lambda n: fmap[n], x))
-        a, b, c = freepairs.random_triple(rng, names, cfg.max_rank - 1 if cfg.max_rank else 0)
-        fa = freepairs.map_names(lambda n: fmap[n], a)
-        fb = freepairs.map_names(lambda n: fmap[n], b)
-        fc = freepairs.map_names(lambda n: fmap[n], c)
-        ok = ok and freepairs.map_names(
-            lambda n: fmap[n], freepairs.bowtie(a, b, c)
-        ) == freepairs.bowtie(fa, fb, fc)
-        if not ok:
-            failures += 1
-    result = SuiteResult("functoriality", failures == 0)
-    result.lines.append(
-        f"suite functoriality cases={cfg.cases} failures={failures}"
+def functoriality(rng, names, max_rank) -> bool:
+    """Renaming generators is a functor and commutes with bowtie, on one
+    random case."""
+    fmap = {n: rng.choice(names) for n in names}
+    gmap = {n: rng.choice(names) for n in names}
+    f = lambda n: fmap[n]
+    g = lambda n: gmap[n]
+    x = freepairs.random_elem(rng, names, max_rank)
+    if freepairs.map_names(lambda n: n, x) != x:
+        return False
+    if freepairs.map_names(lambda n: g(f(n)), x) != freepairs.map_names(
+        g, freepairs.map_names(f, x)
+    ):
+        return False
+    a, b, c = freepairs.random_triple(rng, names, max_rank - 1 if max_rank else 0)
+    return freepairs.map_names(f, freepairs.bowtie(a, b, c)) == freepairs.bowtie(
+        freepairs.map_names(f, a), freepairs.map_names(f, b), freepairs.map_names(f, c)
     )
-    return result
 
 
-def run_lemma44(cfg: SuiteConfig) -> SuiteResult:
-    names = cfg.names()
-    if len(names) < 2:
-        raise ValueError("lemma44 suite needs omega-size >= 2")
+def lemma44(names, max_rank, rngs) -> tuple:
+    """Lemma 4.4 cancellation of the fresh name names[1]: the exhaustive
+    rank <= 1 sweep over names[0], then one random case per rng.
+
+    Returns (sweep, random cases where the law holds with its premises
+    met, counterexamples in the sweep and the random cases).
+    """
     xi, alpha = names[0], names[1]
     sweep = freepairs.cancellation_sweep(xi, alpha, max_triples=2)
     counterexamples = len(sweep.counterexamples)
-    substantive = sweep.substantive
-    random_sub = 0
-    for idx in range(cfg.cases):
-        rng = cfg.rng("lemma44", idx)
+    holds = 0
+    live = tuple(n for n in names if n != alpha)
+    for rng in rngs:
         i = rng.randrange(2)
-        live = tuple(n for n in names if n != alpha)
-        y = freepairs.random_elem(rng, live, cfg.max_rank)
+        y = freepairs.random_elem(rng, live, max_rank)
         if rng.random() < 0.5:
-            x = freepairs.random_below(rng, y, cfg.max_rank, live)
+            x = freepairs.random_below(rng, y, max_rank, live)
         else:
             bound = freepairs.join(y, freepairs.gen(i, alpha))
-            x = freepairs.random_below(rng, bound, cfg.max_rank, names)
+            x = freepairs.random_below(rng, bound, max_rank, names)
             if alpha in freepairs.support(x):
                 x = freepairs.retract(alpha, i, x)
-        verdict = freepairs.check_cancellation(alpha, i, x, y)
-        if verdict.outcome is freepairs.Outcome.COUNTEREXAMPLE:
+        outcome = freepairs.check_cancellation(alpha, i, x, y).outcome
+        if outcome is freepairs.Outcome.COUNTEREXAMPLE:
             counterexamples += 1
-        elif verdict.outcome is freepairs.Outcome.HOLDS:
-            random_sub += 1
-    result = SuiteResult("lemma44", counterexamples == 0 and substantive >= 50)
-    result.lines.append(
-        f"suite lemma44 exhaustive_checked={sweep.checked} "
-        f"exhaustive_substantive={substantive} random_cases={cfg.cases} "
-        f"random_substantive={random_sub} counterexamples={counterexamples}"
-    )
-    return result
+        elif outcome is freepairs.Outcome.HOLDS:
+            holds += 1
+    return sweep, holds, counterexamples
 
 
-def run_evaporation(cfg: SuiteConfig) -> SuiteResult:
-    names = cfg.names()
-    if len(names) < 3:
-        raise ValueError("evaporation suite needs omega-size >= 3")
-    alpha, beta, delta = names[0], names[1], names[2]
-    sweep = freepairs.evaporation_sweep(alpha, beta, delta)
-    ok = sweep.ok and sweep.notes["nonzero_pairs"] >= 1
-    result = SuiteResult("evaporation", ok)
-    result.lines.append(
-        f"suite evaporation checked={sweep.checked} "
-        f"substantive={sweep.substantive} "
-        f"nonzero_pairs={sweep.notes['nonzero_pairs']} "
-        f"counterexamples={len(sweep.counterexamples)}"
-    )
-    return result
+def evaporation(names) -> tuple:
+    """The exhaustive evaporation sweep over names[0], names[1], names[2].
+
+    Returns (sweep, verdict); the verdict needs no counterexample and at
+    least one case with both sides nonzero.
+    """
+    sweep = freepairs.evaporation_sweep(names[0], names[1], names[2])
+    return sweep, sweep.ok and sweep.notes["nonzero_pairs"] >= 1
 
 
 def erosion_domain(L: conlat.FinAlgebra, max_len: int = 4):
@@ -266,41 +213,29 @@ def erosion_domain(L: conlat.FinAlgebra, max_len: int = 4):
                     yield x0, x1, zs
 
 
-def run_erosion(cfg: SuiteConfig) -> SuiteResult:
-    lattices = cfg.lattices()
-    checked = 0
-    failures = 0
-    for name, L in lattices:
+def erosion(lattices) -> tuple:
+    """Erosion over erosion_domain of each (name, lattice), and the 3-chain
+    fixture with its known u0, u1.  Returns (checked, failures, fixture_ok).
+    """
+    checked = failures = 0
+    for _, L in lattices:
         for x0, x1, zs in erosion_domain(L):
-            res = conlat.erosion(L, x0, x1, zs)
             checked += 1
-            if not res.ok:
-                failures += 1
+            failures += not conlat.erosion(L, x0, x1, zs).ok
     res = conlat.erosion(corpus.chain(3), 0, 0, (0, 1, 2))
     fixture_ok = (
         res.ok
         and res.u0 == conlat.congruence_from_blocks(3, [(0, 1), (2,)])
         and res.u1 == conlat.congruence_from_blocks(3, [(0,), (1, 2)])
     )
-    result = SuiteResult("erosion", failures == 0 and fixture_ok)
-    result.lines.append(
-        f"suite erosion lattices={len(lattices)} checked={checked} "
-        f"failures={failures} fixture={'ok' if fixture_ok else 'fail'}"
-    )
-    return result
+    return checked, failures, fixture_ok
 
 
-def run_funayama(cfg: SuiteConfig) -> SuiteResult:
-    failures = []
-    for name, L in cfg.lattices():
-        if not conlat.is_distributive(conlat.conc(L).table):
-            failures.append(name)
-    result = SuiteResult("funayama", not failures)
-    result.lines.append(
-        f"suite funayama lattices={len(cfg.lattices())} "
-        f"failures={','.join(failures) if failures else '0'}"
-    )
-    return result
+def funayama(lattices) -> list:
+    """Names of the lattices whose Conc is not distributive."""
+    return [
+        name for name, L in lattices if not conlat.is_distributive(conlat.conc(L).table)
+    ]
 
 
 def _small_semilattices() -> list:
@@ -312,31 +247,32 @@ def _small_semilattices() -> list:
     return tables
 
 
-def run_oracles(cfg: SuiteConfig) -> SuiteResult:
+def oracles(lattices) -> tuple:
+    """theta against brute_theta on every pair of each lattice of size <= 6,
+    and weakly_distributive_at against wd_at_oracle on every hom between
+    small semilattices.
+
+    Returns (theta pairs, theta mismatches, homs, wd points, wd mismatches).
+    """
     theta_checked = theta_bad = 0
-    for name, L in cfg.lattices():
+    for _, L in lattices:
         if L.size > 6:
             continue
         for x in range(L.size):
             for y in range(L.size):
                 theta_checked += 1
-                if conlat.theta(L, x, y) != brute_theta(L, x, y):
-                    theta_bad += 1
-    wd_checked = wd_bad = 0
+                theta_bad += conlat.theta(L, x, y) != brute_theta(L, x, y)
+    homs = wd_checked = wd_bad = 0
     tables = _small_semilattices()
     for _, dom in tables:
         for _, cod in tables:
             for mu in conlat.all_sem_homs(dom, cod):
+                homs += 1
                 for x in range(dom.size):
                     wd_checked += 1
-                    if conlat.weakly_distributive_at(mu, x) != wd_at_oracle(mu, x):
-                        wd_bad += 1
-    result = SuiteResult("oracles", theta_bad == 0 and wd_bad == 0)
-    result.lines.append(
-        f"suite oracles theta_checked={theta_checked} theta_bad={theta_bad} "
-        f"wd_checked={wd_checked} wd_bad={wd_bad}"
-    )
-    return result
+                    wd = conlat.weakly_distributive_at(mu, x)
+                    wd_bad += wd != wd_at_oracle(mu, x)
+    return theta_checked, theta_bad, homs, wd_checked, wd_bad
 
 
 def kuratowski_fixtures() -> tuple:
@@ -352,82 +288,221 @@ def kuratowski_fixtures() -> tuple:
     return no_free, singleton
 
 
-def run_kuratowski(cfg: SuiteConfig) -> SuiteResult:
-    failures = 0
-    checked = 0
+def kuratowski(trials, rng_for) -> tuple:
+    """is_free against free_oracle and find_free against the first free
+    candidate, on random maps over ground sets of size 1..6 with n <= 2,
+    ``trials`` maps for each (size, n) drawn from rng_for(size, n, trial);
+    then the two fixtures.  Returns (checked, failures, fixture failures).
+    """
+    checked = failures = 0
     for size in range(1, 7):
         ground = tuple(str(i) for i in range(size))
         for n in range(0, min(2, size - 1) + 1):
-            for trial in range(max(5, cfg.cases // 50)):
-                rng = cfg.rng(f"kuratowski-{size}-{n}", trial)
-                images = {}
-                for combo in itertools.combinations(ground, n):
-                    images[frozenset(combo)] = frozenset(
-                        g for g in ground if rng.random() < 0.4
-                    )
+            for trial in range(trials):
+                rng = rng_for(size, n, trial)
+                images = {
+                    frozenset(combo): frozenset(g for g in ground if rng.random() < 0.4)
+                    for combo in itertools.combinations(ground, n)
+                }
                 phi = freeset.PhiMap(ground, n, images)
                 first = None
                 for combo in itertools.combinations(ground, n + 1):
                     checked += 1
                     mine = freeset.is_free(combo, phi)
-                    if mine != free_oracle(combo, phi):
-                        failures += 1
+                    failures += mine != free_oracle(combo, phi)
                     if mine and first is None:
                         first = combo
-                if freeset.find_free(phi) != first:
-                    failures += 1
+                failures += freeset.find_free(phi) != first
     no_free, singleton = kuratowski_fixtures()
-    if freeset.find_free(no_free) is not None:
-        failures += 1
-    if freeset.find_free(singleton) != ("0", "1"):
-        failures += 1
-    result = SuiteResult("kuratowski", failures == 0)
-    result.lines.append(
-        f"suite kuratowski checked={checked} failures={failures}"
+    fixture_failures = (freeset.find_free(no_free) is not None) + (
+        freeset.find_free(singleton) != ("0", "1")
     )
-    return result
+    return checked, failures, fixture_failures
 
 
-def run_mutations(cfg: SuiteConfig) -> SuiteResult:
+def mutations() -> tuple:
+    """The clean descent fixture passes every detector, and each mutation
+    is caught by its own.  Returns (clean, missed names, caught per
+    detector)."""
     base = descent.fixture()
-    base_rep = descent.validate_instance(base)
     clean = (
-        base_rep.ok
+        descent.validate_instance(base).ok
         and descent.check_er(base, 0, 0, {"u"}, set())
         and descent.check_p(base, 0, 0).ok
     )
     missed = []
-    per_detector = {"validate": 0, "er": 0, "p": 0}
+    caught = {"validate": 0, "er": 0, "p": 0}
     for mut in descent.MUTATIONS:
         if descent.mutation_detected(mut):
-            per_detector[mut.detector] += 1
+            caught[mut.detector] += 1
         else:
             missed.append(mut.name)
-    result = SuiteResult("mutations", clean and not missed)
-    result.lines.append(
-        f"suite mutations total={len(descent.MUTATIONS)} "
-        f"validate={per_detector['validate']} er={per_detector['er']} "
-        f"p={per_detector['p']} missed={','.join(missed) if missed else '0'} "
-        f"fixture={'ok' if clean else 'fail'}"
+    return clean, missed, caught
+
+
+def roundtrip(x) -> bool:
+    """x survives serialize then deserialize, and reserializes identically."""
+    text = expr.serialize(x)
+    back = expr.deserialize(text)
+    return back == x and expr.serialize(back) == text
+
+
+# ---------------------------------------------------------------------------
+# Suites
+
+
+def _result(name: str, passed: bool, **counts) -> SuiteResult:
+    """The suite's one line: ``suite <name>`` and then ``key=value`` pairs."""
+    fields = " ".join(f"{key}={value}" for key, value in counts.items())
+    return SuiteResult(name, passed, [f"suite {name} {fields}"])
+
+
+def _per_case(cfg: SuiteConfig, name: str, check) -> SuiteResult:
+    """A suite of cfg.cases random cases; check(rng) says whether one holds."""
+    failures = sum(not check(cfg.rng(name, idx)) for idx in range(cfg.cases))
+    return _result(name, failures == 0, cases=cfg.cases, failures=failures)
+
+
+def run_relations(cfg: SuiteConfig) -> SuiteResult:
+    names = cfg.names()
+    return _per_case(
+        cfg,
+        "relations",
+        lambda rng: relations(*freepairs.random_triple(rng, names, cfg.max_rank)),
     )
-    return result
+
+
+def run_lub(cfg: SuiteConfig) -> SuiteResult:
+    names = cfg.names()
+    draw = lambda rng: freepairs.random_elem(rng, names, cfg.max_rank)
+    # x, y and noise, drawn in that order
+    return _per_case(cfg, "lub", lambda rng: lub(draw(rng), draw(rng), draw(rng)))
+
+
+def run_confluence(cfg: SuiteConfig) -> SuiteResult:
+    names = cfg.names()
+    instances = max(100, cfg.cases // 5)
+    orders = 10
+    failures = 0
+    for idx in range(instances):
+        rng = cfg.rng("confluence", idx)
+        x = freepairs.random_elem(rng, names, cfg.max_rank)
+        y = freepairs.random_elem(rng, names, cfg.max_rank)
+        failures += confluence(
+            x, y, (cfg.rng("confluence-order", idx * orders + k) for k in range(orders))
+        )
+    return _result(
+        "confluence",
+        failures == 0,
+        instances=instances,
+        orders=orders,
+        failures=failures,
+    )
+
+
+def run_functoriality(cfg: SuiteConfig) -> SuiteResult:
+    names = cfg.names()
+    return _per_case(
+        cfg, "functoriality", lambda rng: functoriality(rng, names, cfg.max_rank)
+    )
+
+
+def run_lemma44(cfg: SuiteConfig) -> SuiteResult:
+    names = cfg.names()
+    if len(names) < 2:
+        raise ValueError("lemma44 suite needs omega-size >= 2")
+    rngs = (cfg.rng("lemma44", idx) for idx in range(cfg.cases))
+    sweep, random_sub, counterexamples = lemma44(names, cfg.max_rank, rngs)
+    return _result(
+        "lemma44",
+        counterexamples == 0 and sweep.substantive >= 50,
+        exhaustive_checked=sweep.checked,
+        exhaustive_substantive=sweep.substantive,
+        random_cases=cfg.cases,
+        random_substantive=random_sub,
+        counterexamples=counterexamples,
+    )
+
+
+def run_evaporation(cfg: SuiteConfig) -> SuiteResult:
+    names = cfg.names()
+    if len(names) < 3:
+        raise ValueError("evaporation suite needs omega-size >= 3")
+    sweep, ok = evaporation(names)
+    return _result(
+        "evaporation",
+        ok,
+        checked=sweep.checked,
+        substantive=sweep.substantive,
+        nonzero_pairs=sweep.notes["nonzero_pairs"],
+        counterexamples=len(sweep.counterexamples),
+    )
+
+
+def run_erosion(cfg: SuiteConfig) -> SuiteResult:
+    lattices = cfg.lattices()
+    checked, failures, fixture_ok = erosion(lattices)
+    return _result(
+        "erosion",
+        failures == 0 and fixture_ok,
+        lattices=len(lattices),
+        checked=checked,
+        failures=failures,
+        fixture="ok" if fixture_ok else "fail",
+    )
+
+
+def run_funayama(cfg: SuiteConfig) -> SuiteResult:
+    lattices = cfg.lattices()
+    failures = funayama(lattices)
+    return _result(
+        "funayama",
+        not failures,
+        lattices=len(lattices),
+        failures=",".join(failures) if failures else "0",
+    )
+
+
+def run_oracles(cfg: SuiteConfig) -> SuiteResult:
+    theta_checked, theta_bad, _, wd_checked, wd_bad = oracles(cfg.lattices())
+    return _result(
+        "oracles",
+        theta_bad == 0 and wd_bad == 0,
+        theta_checked=theta_checked,
+        theta_bad=theta_bad,
+        wd_checked=wd_checked,
+        wd_bad=wd_bad,
+    )
+
+
+def run_kuratowski(cfg: SuiteConfig) -> SuiteResult:
+    checked, failures, fixture_failures = kuratowski(
+        max(5, cfg.cases // 50),
+        lambda size, n, trial: cfg.rng(f"kuratowski-{size}-{n}", trial),
+    )
+    failures += fixture_failures
+    return _result("kuratowski", failures == 0, checked=checked, failures=failures)
+
+
+def run_mutations(cfg: SuiteConfig) -> SuiteResult:
+    clean, missed, caught = mutations()
+    return _result(
+        "mutations",
+        clean and not missed,
+        total=len(descent.MUTATIONS),
+        **caught,
+        missed=",".join(missed) if missed else "0",
+        fixture="ok" if clean else "fail",
+    )
 
 
 def run_roundtrip(cfg: SuiteConfig) -> SuiteResult:
     names = cfg.names()
-    failures = 0
-    for idx in range(cfg.cases):
-        rng = cfg.rng("roundtrip", idx)
-        x = freepairs.random_elem(rng, names, cfg.max_rank)
-        text = expr.serialize(x)
-        back = expr.deserialize(text)
-        if back != x or expr.serialize(back) != text:
-            failures += 1
-    result = SuiteResult("roundtrip", failures == 0)
-    result.lines.append(
-        f"suite roundtrip cases={cfg.cases} failures={failures}"
+    return _per_case(
+        cfg,
+        "roundtrip",
+        lambda rng: roundtrip(freepairs.random_elem(rng, names, cfg.max_rank)),
     )
-    return result
 
 
 SUITES = {

@@ -173,6 +173,43 @@ def test_freeset_negative_arity_exit_2(capsys, tmp_path):
     assert "line 2" in err
 
 
+_FIXTURE_LINES = descent.FIXTURE.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("freeset",), "groundx 0 1\narity 1\n", "line 1: unknown directive 'groundx'"),
+        (("freeset",), "ground 0 1\naritylol 1\n", "line 2: unknown directive 'aritylol'"),
+        (("freeset",), "ground 0 1\narity 1 2\n", "line 2: arity takes 1 argument, got 2"),
+        (("con", "conc"), "alg 2 7\njoin 0 1 1 1\n", "line 1: alg takes 1 argument, got 2"),
+        (
+            ("con", "conc"),
+            "alg 2\njoin 0 1 1 1\ntop 1 9\n",
+            "line 3: top takes 1 argument, got 2",
+        ),
+        (
+            ("con", "conc"),
+            "alg 2\nop j 2 0 1 1 1\nop j 2 0 0 0 1\njoin j\n",
+            "line 3: operation 'j' defined twice",
+        ),
+        (
+            # t and z lines first, so the broken op line is line 6 of the file
+            ("descent", "validate"),
+            "\n".join(_FIXTURE_LINES[5:10] + ["op meet 2 0 0 x"] + _FIXTURE_LINES[:1]
+                      + _FIXTURE_LINES[2:5] + _FIXTURE_LINES[10:]),
+            "line 6: invalid literal for int() with base 10: 'x'",
+        ),
+    ],
+)
+def test_malformed_file_exit_2_names_its_line(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.fixture
 def fixture_file(tmp_path):
     path = tmp_path / "fix.dsc"

@@ -17,7 +17,9 @@ from slat.conlat import (
     identity_congruence,
     is_compatible,
     is_distributive,
+    join_closure,
     parse_algebra,
+    parse_semhom,
     format_algebra,
     part_join,
     part_meet,
@@ -417,3 +419,47 @@ def test_algebra_format_errors():
         parse_algebra("alg 2\nfrobnicate\njoin 0 1 1 1\n")
     with pytest.raises(FormatError, match="at least one element"):
         parse_algebra("alg 0\njoin\n")
+    # line numbers count comment and blank lines
+    with pytest.raises(FormatError, match="^line 4: top takes 1 argument, got 0"):
+        parse_algebra("alg 2\n\n# note\ntop\njoin 0 1 1 1\n")
+    with pytest.raises(FormatError, match="^line 3: operation 'j' defined twice"):
+        parse_algebra("alg 2\nop j 2 0 1 1 1\nop j 2 0 0 0 1\njoin j\n")
+    with pytest.raises(FormatError, match="^line 2: unknown directive 'algx'"):
+        parse_algebra("alg 2\nalgx 3\njoin 0 1 1 1\n")
+    with pytest.raises(FormatError, match="^line 2: invalid literal"):
+        parse_algebra("alg 2\nop j two 0 1 1 1\njoin j\n")
+
+
+def test_algebra_format_comments_and_blank_lines():
+    text = "# a two-chain\n\nalg 2   # carrier\n  join 0 1 1 1 # table\n\n"
+    assert parse_algebra(text) == parse_algebra("alg 2\njoin 0 1 1 1\n")
+
+
+def test_parse_semhom():
+    dom = conc(corpus.chain(2)).table
+    cod = "sem 2\njoin 0 1 1 1\nzero 0\n"
+    # dom lists the full congruence first, so its zero is element 1
+    mu = parse_semhom(cod + "map 0 1\nmap 1 0\n", dom)
+    assert mu.image == (1, 0)
+    with pytest.raises(FormatError, match="^line 4: map takes 2 arguments, got 3"):
+        parse_semhom(cod + "map 0 1 5\nmap 1 0\n", dom)
+    with pytest.raises(FormatError, match="^line 2: unknown directive 'joins'"):
+        parse_semhom("sem 2\njoins 0 1 1 1\n", dom)
+    with pytest.raises(FormatError, match="sem/join/zero"):
+        parse_semhom("sem 2\nmap 0 0\n", dom)
+
+
+def test_join_closure():
+    assert join_closure({1, 2, 4}, lambda a, b: a | b) == frozenset(range(1, 8))
+    assert join_closure({3, 5}, max) == frozenset({3, 5})
+    assert join_closure((), max) == frozenset()
+
+
+def test_conc_table_is_part_join_on_every_ordered_pair():
+    for name, L in corpus.bundled_corpus():
+        res = conc(L)
+        k = res.table.size
+        index = {c: i for i, c in enumerate(res.congruences)}
+        for i, c1 in enumerate(res.congruences):
+            for j, c2 in enumerate(res.congruences):
+                assert res.table.join[i * k + j] == index[part_join(c1, c2)], name

@@ -172,3 +172,9 @@ def test_parse_errors():
         parse_instance(FIXTURE + "U v\n")  # U outside omega
     with pytest.raises(FormatError):
         parse_instance(FIXTURE + "bogus 1\n")
+
+    # instance and algebra directives report their own line of the file
+    with pytest.raises(FormatError, match="^line 17: operation 'vee' defined twice"):
+        parse_instance(FIXTURE + "op vee 2 0 1 2 3 1 1 3 3 2 3 2 3 3 3 3 3\n")
+    with pytest.raises(FormatError, match="^line 17: z takes 4 arguments, got 5"):
+        parse_instance(FIXTURE + "z 0 0 u 0 9\n")

@@ -75,3 +75,9 @@ def test_parse_errors():
         parse_phi("ground 0 1\narity 1\nphi {0,1} -> {0}\n")
     with pytest.raises(FormatError):
         parse_phi("ground 0 1\narity 1\nphi {9} -> {0}\n")
+    with pytest.raises(FormatError, match="^line 2: invalid literal"):
+        parse_phi("ground 0 1\narity one\n")
+    with pytest.raises(FormatError, match=r"^line 4: unknown directive 'phi\{0\}'"):
+        parse_phi("ground 0 1\n# c\narity 1\nphi{0} -> {1}\n")
+    with pytest.raises(FormatError, match=r"^line 3: expected \{\.\.\.\} set"):
+        parse_phi("ground 0 1\narity 1\nphi 0 -> {1}\n")
