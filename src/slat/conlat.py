@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import freedist
 
@@ -272,7 +272,8 @@ def theta(L: FinAlgebra, x: int, y: int) -> Congruence:
 
 def theta_plus(L: FinAlgebra, x: int, y: int) -> Congruence:
     """Least congruence collapsing y with x v y."""
-    return theta(L, y, L.join_of(x, y))
+    z = L.join_of(x, y)
+    return theta(L, y, z) if y <= z else theta(L, z, y)
 
 
 def join_closure(gens, join) -> frozenset:
@@ -546,7 +547,7 @@ def conc_sub(L: FinAlgebra, U: frozenset) -> frozenset:
     """The subsemilattice of Conc L generated by principal congruences
     over pairs from U."""
     gens = [identity_congruence(L.size)]
-    gens += [theta(L, u, v) for u in U for v in U]
+    gens += [theta(L, u, v) for u in U for v in U if u <= v]
     return join_closure(gens, part_join)
 
 
@@ -584,10 +585,12 @@ def erosion(L: FinAlgebra, x0: int, x1: int, zs) -> ErosionResult:
 
     x = (x0, x1)
     ident = identity_congruence(L.size)
-    v = [
-        theta(L, L.join_of(zs[i], x[epsilon(i)]), L.join_of(zs[i + 1], x[epsilon(i)]))
-        for i in range(n)
-    ]
+    # theta memoizes each unordered pair under its smaller index first
+    v = []
+    for i in range(n):
+        p = L.join_of(zs[i], x[epsilon(i)])
+        q = L.join_of(zs[i + 1], x[epsilon(i)])
+        v.append(theta(L, p, q) if p <= q else theta(L, q, p))
     u = []
     a = []
     for j in (0, 1):
@@ -596,7 +599,8 @@ def erosion(L: FinAlgebra, x0: int, x1: int, zs) -> ErosionResult:
         for i in range(n):
             if epsilon(i) == j:
                 uj = part_join(uj, v[i])
-                aj = part_join(aj, theta(L, zs[i], zs[i + 1]))
+                p, q = zs[i], zs[i + 1]
+                aj = part_join(aj, theta(L, p, q) if p <= q else theta(L, q, p))
         u.append(uj)
         a.append(aj)
 
@@ -638,30 +642,46 @@ class TableBase(freedist.Base):
 # File formats
 
 
+class Directive(NamedTuple):
+    """How read_directives treats one directive name."""
+
+    count: int | None  # tokens after the name; None for any number
+    handler: Callable  # called with those tokens as a list
+    once: bool = False  # a second line with this name is an error
+
+
 def read_directives(text: str, directives: dict) -> None:
     """Feed every directive line of text to its handler.
 
     The rules every slat file format shares: ``#`` starts a comment,
     blank lines are skipped, and a line's first token names its
     directive, matched as a whole token.  ``directives`` maps each name
-    to ``(count, handler)``; a line must carry exactly ``count`` more
-    tokens (any number when ``count`` is None), and the handler gets them
-    as a list.  A ValueError or IndexError raised while reading a line
-    becomes a FormatError that names the line's number in text.
+    to a ``Directive``: a line must carry exactly ``count`` more tokens,
+    a single-valued (``once``) directive may appear on one line only, and
+    the handler gets the tokens as a list.  A ValueError or IndexError
+    raised while reading a line becomes a FormatError that names the
+    line's number in text.
     """
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tok = raw.split("#", 1)[0].split()
         if not tok:
             continue
         try:
-            if tok[0] not in directives:
-                raise ValueError(f"unknown directive {tok[0]!r}")
-            count, handler = directives[tok[0]]
+            name = tok[0]
+            if name not in directives:
+                raise ValueError(f"unknown directive {name!r}")
+            count, handler, once = directives[name]
             if count is not None and len(tok) - 1 != count:
                 raise ValueError(
-                    f"{tok[0]} takes {count} argument{'s' * (count != 1)}, "
+                    f"{name} takes {count} argument{'s' * (count != 1)}, "
                     f"got {len(tok) - 1}"
                 )
+            if once and name in first_line:
+                raise ValueError(
+                    f"{name} defined twice, first on line {first_line[name]}"
+                )
+            first_line.setdefault(name, lineno)
             handler(tok[1:])
         except (ValueError, IndexError) as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
@@ -679,10 +699,10 @@ class AlgebraReader:
         self.size = self.join_spec = self.top = None
         self.ops = {}
         self.directives = {
-            "alg": (1, self._alg),
-            "op": (None, self._op),
-            "join": (None, self._join),
-            "top": (1, self._top),
+            "alg": Directive(1, self._alg, once=True),
+            "op": Directive(None, self._op),
+            "join": Directive(None, self._join, once=True),
+            "top": Directive(1, self._top, once=True),
         }
 
     def _alg(self, args):
@@ -747,15 +767,18 @@ def parse_semhom(text: str, dom: SemilatticeTable) -> SemHom:
         header["zero"] = int(args[0])
 
     def map_line(args):
-        image[int(args[0])] = int(args[1])
+        x = int(args[0])
+        if x in image:
+            raise ValueError(f"map {x} defined twice")
+        image[x] = int(args[1])
 
     read_directives(
         text,
         {
-            "sem": (1, sem),
-            "join": (None, join),
-            "zero": (1, zero),
-            "map": (2, map_line),
+            "sem": Directive(1, sem, once=True),
+            "join": Directive(None, join, once=True),
+            "zero": Directive(1, zero, once=True),
+            "map": Directive(2, map_line),
         },
     )
     if len(header) != 3:

@@ -269,10 +269,16 @@ def parse_instance(text: str) -> DescentInstance:
     u_names = None
 
     def t_line(args):
-        t_entries[int(args[0])] = int(args[1])
+        r = int(args[0])
+        if r in t_entries:
+            raise ValueError(f"t {r} defined twice")
+        t_entries[r] = int(args[1])
 
     def z_line(args):
-        z[(int(args[0]), int(args[1]), args[2])] = int(args[3])
+        key = (int(args[0]), int(args[1]), args[2])
+        if key in z:
+            raise ValueError("z %d %d %s defined twice" % key)
+        z[key] = int(args[3])
 
     def mu_line(args):
         x, y = int(args[0]), int(args[1])
@@ -286,10 +292,10 @@ def parse_instance(text: str) -> DescentInstance:
         text,
         {
             **algebra.directives,
-            "t": (2, t_line),
-            "z": (4, z_line),
-            "mu": (None, mu_line),
-            "U": (None, u_line),
+            "t": conlat.Directive(2, t_line),
+            "z": conlat.Directive(4, z_line),
+            "mu": conlat.Directive(None, mu_line),
+            "U": conlat.Directive(None, u_line, once=True),
         },
     )
     L = algebra.algebra()

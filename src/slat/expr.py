@@ -23,62 +23,65 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOKEN = re.compile(r"[A-Za-z0-9_]+|[();,\[\]]|\s+|.")
-_VALID = re.compile(r"[A-Za-z0-9_]+|[();,\[\]]")
+_TOKEN = re.compile(r"[A-Za-z0-9_]+|[();,\[\]]")
+_INVALID = re.compile(r"[^A-Za-z0-9_();,\[\]\s]")
+# Tokens that are not identifiers; "" marks the end of input.
+_NOT_IDENT = frozenset("();,[]") | {""}
 
 
-class _Token:
-    __slots__ = ("text", "line", "col")
-
-    def __init__(self, text, line, col):
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    line, col = 1, 1
-    for match in _TOKEN.finditer(text):
-        tok = match.group(0)
-        if not tok.isspace():
-            if not _VALID.fullmatch(tok):
-                raise ParseError(f"unexpected character {tok!r}", line, col)
-            tokens.append(_Token(tok, line, col))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-    tokens.append(_Token("", line, col))
-    return tokens
+def _position(text: str, offset: int) -> tuple:
+    """1-based line and column of a character offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Cursor:
+    """Token strings of one regex pass; positions are found only for errors."""
+
     def __init__(self, text):
-        self.tokens = _tokenize(text)
+        bad = _INVALID.search(text)
+        if bad:
+            raise ParseError(
+                f"unexpected character {bad.group()!r}", *_position(text, bad.start())
+            )
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("")
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def error(self, message: str, index: int) -> ParseError:
+        """A ParseError at the start of token number index."""
+        offset = len(self.text)
+        for k, match in enumerate(_TOKEN.finditer(self.text)):
+            if k == index:
+                offset = match.start()
+                break
+        return ParseError(message, *_position(self.text, offset))
+
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str):
+        tok = self.tokens[self.pos]
+        if tok != text:
+            shown = tok or "end of input"
+            raise self.error(f"expected {text!r}, found {shown!r}", self.pos)
+        self.pos += 1
+
+    def name(self) -> str:
         tok = self.next()
-        if tok.text != text:
-            shown = tok.text or "end of input"
-            raise ParseError(f"expected {text!r}, found {shown!r}", tok.line, tok.col)
+        if tok in _NOT_IDENT:
+            raise self.error("expected identifier", self.pos - 1)
         return tok
 
     def done(self):
         tok = self.peek()
-        if tok.text:
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        if tok:
+            raise self.error(f"trailing input {tok!r}", self.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +111,6 @@ class BowtieExpr:
     c: object
 
 
-_IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
-
-
 def parse(text: str):
     """Parse an expression; raises ParseError with line/column info."""
     cur = _Cursor(text)
@@ -120,29 +120,28 @@ def parse(text: str):
 
 
 def _parse_expr(cur: _Cursor):
+    at = cur.pos
     tok = cur.next()
-    if tok.text == "0":
+    if tok == "0":
         return Lit(0)
-    if tok.text == "1":
+    if tok == "1":
         return Lit(1)
-    if tok.text in ("a0", "a1"):
+    if tok in ("a0", "a1"):
         cur.expect("(")
-        name = cur.next()
-        if not _IDENT.match(name.text):
-            raise ParseError("expected identifier", name.line, name.col)
+        name = cur.name()
         cur.expect(")")
-        return GenExpr(int(tok.text[1]), name.text)
-    if tok.text == "join":
+        return GenExpr(int(tok[1]), name)
+    if tok == "join":
         cur.expect("(")
         args = [_parse_expr(cur)]
-        while cur.peek().text == ",":
+        while cur.peek() == ",":
             cur.next()
             args.append(_parse_expr(cur))
         cur.expect(")")
         if len(args) < 2:
-            raise ParseError("join needs at least two arguments", tok.line, tok.col)
+            raise cur.error("join needs at least two arguments", at)
         return JoinExpr(tuple(args))
-    if tok.text == "bowtie":
+    if tok == "bowtie":
         cur.expect("(")
         a = _parse_expr(cur)
         cur.expect(",")
@@ -151,8 +150,8 @@ def _parse_expr(cur: _Cursor):
         c = _parse_expr(cur)
         cur.expect(")")
         return BowtieExpr(a, b, c)
-    shown = tok.text or "end of input"
-    raise ParseError(f"expected an expression, found {shown!r}", tok.line, tok.col)
+    shown = tok or "end of input"
+    raise cur.error(f"expected an expression, found {shown!r}", at)
 
 
 def render(e) -> str:
@@ -233,10 +232,11 @@ def deserialize(text: str):
 
 
 def _parse_value(cur: _Cursor):
+    at = cur.pos
     tok = cur.next()
-    if tok.text == "top":
+    if tok == "top":
         return pairs.TOP
-    if tok.text == "pair":
+    if tok == "pair":
         cur.expect("(")
         pos = _parse_name_list(cur)
         cur.expect(",")
@@ -245,8 +245,8 @@ def _parse_value(cur: _Cursor):
         try:
             return pairs.PairElem(frozenset(pos), frozenset(neg))
         except ValueError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
-    if tok.text == "red":
+            raise cur.error(str(exc), at) from None
+    if tok == "red":
         cur.expect("(")
         projection = _parse_value(cur)
         cur.expect(";")
@@ -261,26 +261,23 @@ def _parse_value(cur: _Cursor):
             w = _parse_value(cur)
             cur.expect(")")
             triples.append(freedist.Triple(u, v, w))
-            if cur.peek().text != ",":
+            if cur.peek() != ",":
                 break
             cur.next()
         cur.expect("]")
         cur.expect(")")
         return freedist.Node(projection, tuple(triples))
-    shown = tok.text or "end of input"
-    raise ParseError(f"expected a value, found {shown!r}", tok.line, tok.col)
+    shown = tok or "end of input"
+    raise cur.error(f"expected a value, found {shown!r}", at)
 
 
 def _parse_name_list(cur: _Cursor) -> list:
     cur.expect("[")
     names = []
-    if cur.peek().text != "]":
+    if cur.peek() != "]":
         while True:
-            tok = cur.next()
-            if not _IDENT.match(tok.text):
-                raise ParseError("expected identifier", tok.line, tok.col)
-            names.append(tok.text)
-            if cur.peek().text != ",":
+            names.append(cur.name())
+            if cur.peek() != ",":
                 break
             cur.next()
     cur.expect("]")

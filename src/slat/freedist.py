@@ -82,35 +82,53 @@ class Triple(NamedTuple):
     w: Any
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Node:
-    """A canonical element of rank >= 1; hashed once, at construction.
+# The one node of each value, keyed by its hash; a value whose hash is
+# already taken by a different value goes to _COLLIDED, keyed by its fields.
+# The hash int is the element's own cached hash, so a table entry adds no
+# key object of its own.
+_INTERNED: dict = {}
+_COLLIDED: dict = {}
 
-    The memo tables below are keyed on nested ``Node`` trees, so the hash
-    of ``(proj, triples)`` is cached rather than rebuilt per lookup, and
-    equality tries identity and the cached hash before the fields.
+
+@dataclass(frozen=True, eq=False, slots=True, init=False)
+class Node:
+    """An element of rank >= 1, hash-consed: one object per value.
+
+    Building a node whose fields equal an existing one returns the
+    existing object, so ``==`` is identity.  The memo tables below are
+    keyed on nested ``Node`` trees, so the hash of ``(proj, triples)`` is
+    computed once, when the value is first built.
     """
 
     proj: Any
     triples: tuple
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.proj, self.triples)))
+    def __new__(cls, proj, triples):
+        h = hash((proj, triples))
+        n = _INTERNED.get(h)
+        if n is not None:
+            if n.proj == proj and n.triples == triples:
+                return n
+            n = _COLLIDED.get((proj, triples))
+            if n is not None:
+                return n
+        n = object.__new__(cls)
+        object.__setattr__(n, "proj", proj)
+        object.__setattr__(n, "triples", triples)
+        object.__setattr__(n, "_hash", h)
+        if h in _INTERNED:
+            _COLLIDED[proj, triples] = n
+        else:
+            _INTERNED[h] = n
+        return n
 
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.proj == other.proj
-            and self.triples == other.triples
-        )
+    def __reduce__(self):
+        # copy and pickle rebuild through __new__, so they intern too.
+        return Node, (self.proj, self.triples)
 
     def __repr__(self):
         triples = ", ".join(f"({t.u!r},{t.v!r},{t.w!r})" for t in self.triples)

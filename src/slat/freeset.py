@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .conlat import FormatError, read_directives
+from .conlat import Directive, FormatError, read_directives
 
 
 @dataclass
@@ -79,9 +79,9 @@ def parse_phi(text: str) -> PhiMap:
     read_directives(
         text,
         {
-            "ground": (None, ground_line),
-            "arity": (1, arity_line),
-            "phi": (None, phi_line),
+            "ground": Directive(None, ground_line, once=True),
+            "arity": Directive(1, arity_line, once=True),
+            "phi": Directive(None, phi_line),
         },
     )
     if ground is None or arity is None:

@@ -12,42 +12,58 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class PairElem:
-    """A pair-semilattice value; its hash is computed once, at construction.
+# The one element of each value, keyed by its hash; a value whose hash is
+# already taken by a different value goes to _COLLIDED, keyed by its fields.
+# The hash int is the element's own cached hash, so a table entry adds no
+# key object of its own.
+_INTERNED: dict = {}
+_COLLIDED: dict = {}
 
-    Elements key every memo table of the extension, nested inside
-    ``Node`` trees, so a hash recomputed on each lookup would walk the
-    whole tree.  The cached value is the tuple hash of the fields, and
-    equality tries identity and the cached hash before the fields.
+
+@dataclass(frozen=True, eq=False, slots=True, init=False)
+class PairElem:
+    """A pair-semilattice value, hash-consed: one object per value.
+
+    Building an element whose fields equal an existing one returns the
+    existing object, so ``==`` is identity.  The hash is computed once,
+    when the value is first built, and is the tuple hash of the fields.
     """
 
-    pos: frozenset = frozenset()
-    neg: frozenset = frozenset()
-    top: bool = False
+    pos: frozenset
+    neg: frozenset
+    top: bool
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.top and (self.pos or self.neg):
+    def __new__(cls, pos=frozenset(), neg=frozenset(), top=False):
+        h = hash((pos, neg, top))
+        p = _INTERNED.get(h)
+        if p is not None:
+            if p.pos == pos and p.neg == neg and p.top == top:
+                return p
+            p = _COLLIDED.get((pos, neg, top))
+            if p is not None:
+                return p
+        if top and (pos or neg):
             raise ValueError("top carries no generator sets")
-        if self.pos & self.neg:
+        if pos & neg:
             raise ValueError("pos and neg must be disjoint")
-        object.__setattr__(self, "_hash", hash((self.pos, self.neg, self.top)))
+        p = object.__new__(cls)
+        object.__setattr__(p, "pos", pos)
+        object.__setattr__(p, "neg", neg)
+        object.__setattr__(p, "top", top)
+        object.__setattr__(p, "_hash", h)
+        if h in _INTERNED:
+            _COLLIDED[pos, neg, top] = p
+        else:
+            _INTERNED[h] = p
+        return p
 
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.pos == other.pos
-            and self.neg == other.neg
-            and self.top == other.top
-        )
+    def __reduce__(self):
+        # copy and pickle rebuild through __new__, so they intern too.
+        return PairElem, (self.pos, self.neg, self.top)
 
     def __repr__(self):
         return serialize(self)

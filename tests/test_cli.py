@@ -194,6 +194,47 @@ _FIXTURE_LINES = descent.FIXTURE.splitlines()
             "line 3: operation 'j' defined twice",
         ),
         (
+            ("freeset",),
+            "ground 0 1\narity 1\n# again\narity 2\n",
+            "line 4: arity defined twice, first on line 2",
+        ),
+        (
+            ("freeset",),
+            "ground 0 1\nground 0 1 2\narity 1\n",
+            "line 2: ground defined twice, first on line 1",
+        ),
+        (
+            ("con", "conc"),
+            "alg 3\nalg 2\njoin 0 1 1 1\n",
+            "line 2: alg defined twice, first on line 1",
+        ),
+        (
+            ("con", "conc"),
+            "alg 2\njoin 0 1 1 1\ntop 1\ntop 0\n",
+            "line 4: top defined twice, first on line 3",
+        ),
+        (
+            ("con", "conc"),
+            "alg 2\njoin 0 1 1 1\njoin 0 0 0 1\n",
+            "line 3: join defined twice, first on line 2",
+        ),
+        (
+            ("descent", "validate"),
+            descent.FIXTURE + "U u\n",
+            f"line {len(_FIXTURE_LINES) + 1}: U defined twice, first on line "
+            f"{_FIXTURE_LINES.index('U u') + 1}",
+        ),
+        (
+            ("descent", "validate"),
+            descent.FIXTURE + "t 0 1\n",
+            f"line {len(_FIXTURE_LINES) + 1}: t 0 defined twice",
+        ),
+        (
+            ("descent", "validate"),
+            descent.FIXTURE + "z 0 1 u 2\n",
+            f"line {len(_FIXTURE_LINES) + 1}: z 0 1 u defined twice",
+        ),
+        (
             # t and z lines first, so the broken op line is line 6 of the file
             ("descent", "validate"),
             "\n".join(_FIXTURE_LINES[5:10] + ["op meet 2 0 0 x"] + _FIXTURE_LINES[:1]
@@ -208,6 +249,16 @@ def test_malformed_file_exit_2_names_its_line(capsys, tmp_path, argv, text, mess
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_wd_map_repeated_line_exit_2(capsys, tmp_path):
+    alg = tmp_path / "chain.alg"
+    alg.write_text("alg 2\njoin 0 1 1 1\n")
+    mu = tmp_path / "mu.map"
+    mu.write_text("sem 2\njoin 0 1 1 1\nzero 0\nmap 0 1\nmap 0 0\nmap 1 0\n")
+    code, out, err = run(capsys, "con", str(alg), "wd", str(mu))
+    assert code == 2 and out == ""
+    assert err == "error: line 5: map 0 defined twice\n"
 
 
 @pytest.fixture

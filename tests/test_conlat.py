@@ -428,6 +428,13 @@ def test_algebra_format_errors():
         parse_algebra("alg 2\nalgx 3\njoin 0 1 1 1\n")
     with pytest.raises(FormatError, match="^line 2: invalid literal"):
         parse_algebra("alg 2\nop j two 0 1 1 1\njoin j\n")
+    # a single-valued directive may not be repeated
+    with pytest.raises(FormatError, match="^line 2: alg defined twice, first on line 1"):
+        parse_algebra("alg 3\nalg 2\njoin 0 1 1 1\n")
+    with pytest.raises(FormatError, match="^line 4: top defined twice, first on line 3"):
+        parse_algebra("alg 2\njoin 0 1 1 1\ntop 1\ntop 1\n")
+    with pytest.raises(FormatError, match="^line 3: join defined twice, first on line 1"):
+        parse_algebra("join 0 1 1 1\nalg 2\njoin 0 1 1 1\n")
 
 
 def test_algebra_format_comments_and_blank_lines():
@@ -447,6 +454,13 @@ def test_parse_semhom():
         parse_semhom("sem 2\njoins 0 1 1 1\n", dom)
     with pytest.raises(FormatError, match="sem/join/zero"):
         parse_semhom("sem 2\nmap 0 0\n", dom)
+    for first, again in enumerate(("sem 2", "join 0 1 1 1", "zero 0"), start=1):
+        name = again.split()[0]
+        message = f"^line 4: {name} defined twice, first on line {first}"
+        with pytest.raises(FormatError, match=message):
+            parse_semhom(cod + again + "\nmap 0 1\nmap 1 0\n", dom)
+    with pytest.raises(FormatError, match="^line 5: map 0 defined twice"):
+        parse_semhom(cod + "map 0 1\nmap 0 0\nmap 1 0\n", dom)
 
 
 def test_join_closure():

@@ -178,3 +178,10 @@ def test_parse_errors():
         parse_instance(FIXTURE + "op vee 2 0 1 2 3 1 1 3 3 2 3 2 3 3 3 3 3\n")
     with pytest.raises(FormatError, match="^line 17: z takes 4 arguments, got 5"):
         parse_instance(FIXTURE + "z 0 0 u 0 9\n")
+    # a repeated U line or t/z key is an error, not a silent override
+    with pytest.raises(FormatError, match="^line 17: U defined twice, first on line 16"):
+        parse_instance(FIXTURE + "U u\n")
+    with pytest.raises(FormatError, match="^line 17: t 0 defined twice"):
+        parse_instance(FIXTURE + "t 0 0\n")
+    with pytest.raises(FormatError, match="^line 17: z 0 2 u defined twice"):
+        parse_instance(FIXTURE + "z 0 2 u 1\n")

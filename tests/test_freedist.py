@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -467,7 +469,7 @@ def test_serialize_deterministic_sorted():
     assert serialize(BASE, x) == text
 
 
-# -- element contract: cached hash, identity-first equality ------------------
+# -- element contract: one object per value, equality is identity -----------
 
 
 def contract_samples():
@@ -486,22 +488,38 @@ def test_node_hash_is_field_tuple_hash():
 
 
 def rebuild(x):
-    """A structurally equal copy of x that shares no element object."""
+    """x rebuilt field by field from fresh containers, leaves included."""
     if isinstance(x, Node):
         triples = tuple(Triple(*(rebuild(c) for c in t)) for t in x.triples)
         return Node(rebuild(x.proj), triples)
     return type(x)(frozenset(x.pos), frozenset(x.neg), x.top)
 
 
-def test_rebuilt_node_equal_not_identical():
-    # deserialize returns validate's memoized representative, which may be
-    # n itself; rebuild always gives a distinct object.
+def test_rebuilt_node_is_the_same_object():
     for n in contract_samples():
-        back = expr.deserialize(serialize(BASE, n))
-        assert back == n and hash(back) == hash(n)
-        copy = rebuild(n)
-        assert copy == n and hash(copy) == hash(n)
-        assert copy is not n and copy.triples[0].u is not n.triples[0].u
+        assert rebuild(n) is n
+        assert expr.deserialize(serialize(BASE, n)) is n
+        assert freepairs.map_names(lambda name: name, n) is n
+        assert copy.copy(n) is n and copy.deepcopy(n) is n
+        assert pickle.loads(pickle.dumps(n)) is n
+    assert Node.__eq__ is object.__eq__
+
+
+def test_node_hash_collision_falls_back_to_fields(monkeypatch):
+    triples = (Triple(A0, gen(0, "collision_y"), A0),)
+    h = hash((ZERO, triples))
+    assert h not in freedist._INTERNED
+    decoy = bowtie(BASE, A0, B0, A0)
+    monkeypatch.setitem(freedist._INTERNED, h, decoy)
+    monkeypatch.setattr(freedist, "_COLLIDED", {})
+    n = Node(ZERO, triples)
+    assert n is not decoy and (n.proj, n.triples) == (ZERO, triples)
+    assert hash(n) == h
+    assert serialize(BASE, n) == (
+        "red(pair([],[]); [(pair([x],[]),pair([collision_y],[]),pair([x],[]))])"
+    )
+    assert Node(ZERO, (Triple(A0, gen(0, "collision_y"), A0),)) is n
+    assert freedist._INTERNED[h] is decoy and bowtie(BASE, A0, B0, A0) is decoy
 
 
 def test_node_compare_with_other_types_is_false():
@@ -528,10 +546,18 @@ def test_node_repr_unchanged():
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(st.integers(0, 63), st.integers(0, 63))
-def test_equality_matches_serialization_and_hash(i, j):
+@given(
+    st.integers(0, 63),
+    st.integers(0, 63),
+    st.sampled_from(("draw", "rebuild", "deserialize")),
+)
+def test_equality_matches_serialization_and_hash(i, j, how):
+    # y is drawn, or rebuilt from fresh containers, or parsed back from
+    # text: however it was built, equal serializations mean the same object
     x = freepairs.random_elem(random.Random(i), ("x", "y"), max_rank=2)
     y = freepairs.random_elem(random.Random(j), ("x", "y"), max_rank=2)
-    assert (serialize(BASE, x) == serialize(BASE, y)) == (x == y)
-    if x == y:
-        assert hash(x) == hash(y)
+    if how == "rebuild":
+        y = rebuild(y)
+    elif how == "deserialize":
+        y = expr.deserialize(serialize(BASE, y))
+    assert (serialize(BASE, x) == serialize(BASE, y)) == (x is y) == (x == y)

@@ -81,3 +81,7 @@ def test_parse_errors():
         parse_phi("ground 0 1\n# c\narity 1\nphi{0} -> {1}\n")
     with pytest.raises(FormatError, match=r"^line 3: expected \{\.\.\.\} set"):
         parse_phi("ground 0 1\narity 1\nphi 0 -> {1}\n")
+    with pytest.raises(FormatError, match="^line 3: arity defined twice, first on line 2"):
+        parse_phi("ground 0 1\narity 1\narity 2\n")
+    with pytest.raises(FormatError, match="^line 3: ground defined twice, first on line 1"):
+        parse_phi("ground 0 1\narity 1\nground 0\n")

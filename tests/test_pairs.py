@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -149,7 +151,7 @@ def test_disjointness_enforced():
         pairs.PairElem(frozenset("x"), top=True)
 
 
-# -- element contract: cached hash, identity-first equality ------------------
+# -- element contract: one object per value, equality is identity -----------
 
 
 def test_hash_is_field_tuple_hash():
@@ -157,18 +159,35 @@ def test_hash_is_field_tuple_hash():
         assert hash(p) == hash((p.pos, p.neg, p.top))
 
 
-def test_rebuilt_element_equal_not_identical():
-    # deserialize returns validate's memoized representative, which may be
-    # p itself; a field-by-field copy is always a distinct object.
+def test_rebuilt_element_is_the_same_object():
     for p in U2:
-        back = expr.deserialize(pairs.serialize(p))
-        assert back == p and hash(back) == hash(p)
-        copy = pairs.PairElem(frozenset(p.pos), frozenset(p.neg), p.top)
-        assert copy == p and hash(copy) == hash(p)
-        assert copy is not p
+        assert expr.deserialize(pairs.serialize(p)) is p
+        assert pairs.PairElem(frozenset(p.pos), frozenset(p.neg), p.top) is p
+        assert freepairs.map_names(lambda n: n, p) is p
+        assert copy.copy(p) is p and copy.deepcopy(p) is p
+        assert pickle.loads(pickle.dumps(p)) is p
     assert [a == b for a in U2 for b in U2] == [
         a is b for a in U2 for b in U2
     ]
+    assert pairs.PairElem.__eq__ is object.__eq__
+
+
+def test_hash_collision_falls_back_to_fields(monkeypatch):
+    pos, neg = frozenset(("collision_x",)), frozenset(("collision_y",))
+    h = hash((pos, neg, False))
+    assert h not in pairs._INTERNED
+    decoy = gen(0, "x")
+    monkeypatch.setitem(pairs._INTERNED, h, decoy)
+    monkeypatch.setattr(pairs, "_COLLIDED", {})
+    p = pairs.PairElem(pos, neg)
+    assert p is not decoy and (p.pos, p.neg, p.top) == (pos, neg, False)
+    assert hash(p) == h and pairs.serialize(p) == "pair([collision_x],[collision_y])"
+    assert pairs.PairElem(frozenset(pos), frozenset(neg)) is p
+    assert pairs._INTERNED[h] is decoy and gen(0, "x") is decoy
+    # a colliding value is still checked before it is built
+    monkeypatch.setitem(pairs._INTERNED, hash((pos, pos, False)), decoy)
+    with pytest.raises(ValueError):
+        pairs.PairElem(pos, pos)
 
 
 def test_compare_with_other_types_is_false():
