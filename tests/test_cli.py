@@ -194,6 +194,13 @@ _FIXTURE_LINES = descent.FIXTURE.splitlines()
             "line 3: operation 'j' defined twice",
         ),
         (
+            # t and z lines first, so the broken op line is line 6 of the file
+            ("descent", "validate"),
+            "\n".join(_FIXTURE_LINES[5:10] + ["op meet 2 0 0 x"] + _FIXTURE_LINES[:1]
+                      + _FIXTURE_LINES[2:5] + _FIXTURE_LINES[10:]),
+            "line 6: invalid literal for int() with base 10: 'x'",
+        ),
+        (
             ("freeset",),
             "ground 0 1\narity 1\n# again\narity 2\n",
             "line 4: arity defined twice, first on line 2",
@@ -233,13 +240,6 @@ _FIXTURE_LINES = descent.FIXTURE.splitlines()
             ("descent", "validate"),
             descent.FIXTURE + "z 0 1 u 2\n",
             f"line {len(_FIXTURE_LINES) + 1}: z 0 1 u defined twice",
-        ),
-        (
-            # t and z lines first, so the broken op line is line 6 of the file
-            ("descent", "validate"),
-            "\n".join(_FIXTURE_LINES[5:10] + ["op meet 2 0 0 x"] + _FIXTURE_LINES[:1]
-                      + _FIXTURE_LINES[2:5] + _FIXTURE_LINES[10:]),
-            "line 6: invalid literal for int() with base 10: 'x'",
         ),
     ],
 )
