@@ -208,10 +208,10 @@ def algebra_zero(L: FinAlgebra) -> int | None:
 # Congruence generation
 
 
-def is_compatible(L: FinAlgebra, c: Congruence, table=None, arity=2) -> bool:
-    """Compatibility of a partition with one table (default: all basic ops)."""
+def is_compatible(L: FinAlgebra, c: Congruence, table=None) -> bool:
+    """Compatibility of a partition with one binary table (default: all basic ops)."""
     if table is not None:
-        ops = (Operation("_", arity, tuple(table)),)
+        ops = (Operation("_", 2, tuple(table)),)
     else:
         ops = L.ops
     n = L.size
@@ -303,9 +303,7 @@ def all_congruences(L: FinAlgebra) -> tuple:
 @lru_cache(maxsize=None)
 def check_congruence_compatible(L: FinAlgebra) -> bool:
     """Whether every congruence of L is compatible with the designated join."""
-    return all(
-        is_compatible(L, c, table=L.join, arity=2) for c in all_congruences(L)
-    )
+    return all(is_compatible(L, c, table=L.join) for c in all_congruences(L))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +353,8 @@ def conc(L: FinAlgebra) -> ConcResult:
 
     Returns the join table over the canonically sorted congruence list,
     plus the map sending a carrier pair to the index of its principal
-    congruence.
+    congruence.  The table is ``part_join`` on a join-closed set, so it is
+    a semilattice by construction and skips ``semilattice()``'s recheck.
     """
     cons = all_congruences(L)
     index = {c: i for i, c in enumerate(cons)}
@@ -366,7 +365,7 @@ def conc(L: FinAlgebra) -> ConcResult:
             table[i * k + j] = table[j * k + i] = index[part_join(c1, cons[j])]
     zero = index[identity_congruence(L.size)]
     labels = tuple(c.serialize() for c in cons)
-    sem = semilattice(k, table, zero, labels)
+    sem = SemilatticeTable(k, tuple(table), zero, labels)
     pair_index = {}
     for x in range(L.size):
         for y in range(L.size):
@@ -459,7 +458,7 @@ def quotient(L: FinAlgebra, c: Congruence):
         raise freedist.DomainError("partition size mismatch")
     if not is_compatible(L, c):
         raise freedist.DomainError("partition not compatible with basic operations")
-    if not is_compatible(L, c, table=L.join, arity=2):
+    if not is_compatible(L, c, table=L.join):
         raise freedist.DomainError("partition not compatible with designated join")
     blocks = c.blocks()
     nb = len(blocks)
@@ -615,27 +614,6 @@ def erosion(L: FinAlgebra, x0: int, x1: int, zs) -> ErosionResult:
         for j in (0, 1)
     )
     return ErosionResult(u[0], u[1], congruent, bounded, member)
-
-
-# ---------------------------------------------------------------------------
-# Base adapter for the free distributive extension
-
-
-class TableBase(freedist.Base):
-    """A SemilatticeTable as a rank-0 base for the extension."""
-
-    def __init__(self, table: SemilatticeTable):
-        self.table = table
-        self.zero = table.zero
-
-    def join(self, a, b):
-        return self.table.join_of(a, b)
-
-    def leq(self, a, b):
-        return self.table.leq(a, b)
-
-    def serialize(self, a):
-        return str(a)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ interpreter stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Any, NamedTuple
 
@@ -82,12 +82,8 @@ class Triple(NamedTuple):
     w: Any
 
 
-# The one node of each value, keyed by its hash; a value whose hash is
-# already taken by a different value goes to _COLLIDED, keyed by its fields.
-# The hash int is the element's own cached hash, so a table entry adds no
-# key object of its own.
+# The one node of each value, keyed by its fields.
 _INTERNED: dict = {}
-_COLLIDED: dict = {}
 
 
 @dataclass(frozen=True, eq=False, slots=True, init=False)
@@ -95,36 +91,23 @@ class Node:
     """An element of rank >= 1, hash-consed: one object per value.
 
     Building a node whose fields equal an existing one returns the
-    existing object, so ``==`` is identity.  The memo tables below are
-    keyed on nested ``Node`` trees, so the hash of ``(proj, triples)`` is
-    computed once, when the value is first built.
+    existing object, so ``==`` is identity and the hash is the identity
+    hash inherited from ``object``.
     """
 
     proj: Any
     triples: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __new__(cls, proj, triples):
-        h = hash((proj, triples))
-        n = _INTERNED.get(h)
+        key = (proj, triples)
+        n = _INTERNED.get(key)
         if n is not None:
-            if n.proj == proj and n.triples == triples:
-                return n
-            n = _COLLIDED.get((proj, triples))
-            if n is not None:
-                return n
+            return n
         n = object.__new__(cls)
         object.__setattr__(n, "proj", proj)
         object.__setattr__(n, "triples", triples)
-        object.__setattr__(n, "_hash", h)
-        if h in _INTERNED:
-            _COLLIDED[proj, triples] = n
-        else:
-            _INTERNED[h] = n
+        _INTERNED[key] = n
         return n
-
-    def __hash__(self):
-        return self._hash
 
     def __reduce__(self):
         # copy and pickle rebuild through __new__, so they intern too.

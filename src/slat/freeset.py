@@ -74,7 +74,10 @@ def parse_phi(text: str) -> PhiMap:
         left, arrow, right = " ".join(args).partition("->")
         if not arrow:
             raise ValueError("phi line needs '->'")
-        images[_parse_set(left)] = _parse_set(right)
+        key = _parse_set(left)
+        if key in images:
+            raise ValueError("phi {%s} defined twice" % ",".join(sorted(key)))
+        images[key] = _parse_set(right)
 
     read_directives(
         text,

@@ -9,15 +9,11 @@ lexicographically; that order fixes all serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
-# The one element of each value, keyed by its hash; a value whose hash is
-# already taken by a different value goes to _COLLIDED, keyed by its fields.
-# The hash int is the element's own cached hash, so a table entry adds no
-# key object of its own.
+# The one element of each value, keyed by its fields.
 _INTERNED: dict = {}
-_COLLIDED: dict = {}
 
 
 @dataclass(frozen=True, eq=False, slots=True, init=False)
@@ -25,24 +21,19 @@ class PairElem:
     """A pair-semilattice value, hash-consed: one object per value.
 
     Building an element whose fields equal an existing one returns the
-    existing object, so ``==`` is identity.  The hash is computed once,
-    when the value is first built, and is the tuple hash of the fields.
+    existing object, so ``==`` is identity and the hash is the identity
+    hash inherited from ``object``.
     """
 
     pos: frozenset
     neg: frozenset
     top: bool
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __new__(cls, pos=frozenset(), neg=frozenset(), top=False):
-        h = hash((pos, neg, top))
-        p = _INTERNED.get(h)
+        key = (pos, neg, top)
+        p = _INTERNED.get(key)
         if p is not None:
-            if p.pos == pos and p.neg == neg and p.top == top:
-                return p
-            p = _COLLIDED.get((pos, neg, top))
-            if p is not None:
-                return p
+            return p
         if top and (pos or neg):
             raise ValueError("top carries no generator sets")
         if pos & neg:
@@ -51,15 +42,8 @@ class PairElem:
         object.__setattr__(p, "pos", pos)
         object.__setattr__(p, "neg", neg)
         object.__setattr__(p, "top", top)
-        object.__setattr__(p, "_hash", h)
-        if h in _INTERNED:
-            _COLLIDED[pos, neg, top] = p
-        else:
-            _INTERNED[h] = p
+        _INTERNED[key] = p
         return p
-
-    def __hash__(self):
-        return self._hash
 
     def __reduce__(self):
         # copy and pickle rebuild through __new__, so they intern too.

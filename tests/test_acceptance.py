@@ -8,11 +8,15 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from slat import corpus, descent, freepairs, suite
 
 CFG = suite.SuiteConfig(seed=0, cases=1000, max_rank=2, omega_size=4)
 NAMES = CFG.names()
+# stdout of `slat suite --seed 13 --cases 60`, recorded once; any change to
+# it is a change of the suites' output and must be made on purpose.
+SUITE_GOLDEN = Path(__file__).parent / "golden" / "suite_seed13_cases60.txt"
 
 
 def report(number, name, ok, detail="", elapsed=None):
@@ -188,7 +192,7 @@ def test_c12_cli_roundtrip_and_determinism():
     deterministic = (
         first.returncode == 0
         and second.returncode == 0
-        and first.stdout == second.stdout
+        and first.stdout == second.stdout == SUITE_GOLDEN.read_text()
     )
     report(
         12,

@@ -241,6 +241,11 @@ _FIXTURE_LINES = descent.FIXTURE.splitlines()
             descent.FIXTURE + "z 0 1 u 2\n",
             f"line {len(_FIXTURE_LINES) + 1}: z 0 1 u defined twice",
         ),
+        (
+            ("freeset",),
+            "ground 0 1\narity 1\nphi {0} -> {1}\nphi {0} -> {0}\n",
+            "line 4: phi {0} defined twice",
+        ),
     ],
 )
 def test_malformed_file_exit_2_names_its_line(capsys, tmp_path, argv, text, message):

@@ -88,12 +88,11 @@ def test_theta_n5_frozen():
 
 
 def test_theta_matches_brute_force():
-    from slat.suite import brute_theta
+    from slat.suite import oracles
 
-    for L in (corpus.n5(), corpus.m3(), corpus.chain(4)):
-        for x in range(L.size):
-            for y in range(L.size):
-                assert theta(L, x, y) == brute_theta(L, x, y)
+    lattices = [("n5", corpus.n5()), ("m3", corpus.m3()), ("chain4", corpus.chain(4))]
+    theta_checked, theta_bad, _, _, wd_bad = oracles(lattices)
+    assert (theta_checked, theta_bad, wd_bad) == (66, 0, 0)
 
 
 def test_theta_symmetric_on_corpus():
@@ -131,6 +130,16 @@ def test_theta_matches_product_of_brute_theta():
                     (ca.block_of[k // nb], cb.block_of[k % nb]) for k in range(P.size)
                 )
                 assert theta(P, i, j) == expected, (a, b, i, j)
+
+
+def test_conc_table_passes_the_semilattice_recheck():
+    # conc builds its table without semilattice()'s check; the check is
+    # the oracle that the table is a (join, 0)-semilattice on its labels.
+    named = dict(corpus.bundled_corpus())
+    products = [corpus.product(named[a], named[b]) for a, b in PRODUCT_FACTORS]
+    for L in list(named.values()) + products:
+        t = conc(L).table
+        assert semilattice(t.size, t.join, t.zero, t.labels) == t
 
 
 def test_theta_plus():
@@ -202,7 +211,7 @@ def test_cached_compatibility_still_rejects():
 def test_is_compatible_specific():
     L = bare_chain(3)
     skip_mid = congruence_from_blocks(3, [(0, 2), (1,)])
-    assert not is_compatible(L, skip_mid, table=L.join, arity=2)
+    assert not is_compatible(L, skip_mid, table=L.join)
 
 
 # -- semilattice tables -------------------------------------------------------

@@ -85,3 +85,5 @@ def test_parse_errors():
         parse_phi("ground 0 1\narity 1\narity 2\n")
     with pytest.raises(FormatError, match="^line 3: ground defined twice, first on line 1"):
         parse_phi("ground 0 1\narity 1\nground 0\n")
+    with pytest.raises(FormatError, match=r"^line 4: phi \{0\} defined twice$"):
+        parse_phi("ground 0 1\narity 1\nphi {0} -> {1}\nphi {0} -> {0}\n")

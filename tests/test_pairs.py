@@ -154,9 +154,10 @@ def test_disjointness_enforced():
 # -- element contract: one object per value, equality is identity -----------
 
 
-def test_hash_is_field_tuple_hash():
+def test_hash_is_identity_hash():
     for p in U2:
-        assert hash(p) == hash((p.pos, p.neg, p.top))
+        assert hash(p) == object.__hash__(p)
+    assert pairs.PairElem.__hash__ is object.__hash__
 
 
 def test_rebuilt_element_is_the_same_object():
@@ -172,22 +173,28 @@ def test_rebuilt_element_is_the_same_object():
     assert pairs.PairElem.__eq__ is object.__eq__
 
 
+class ConstantHashName(str):
+    """A generator name whose hash collides with every other such name."""
+
+    def __hash__(self):
+        return 0
+
+
 def test_hash_collision_falls_back_to_fields(monkeypatch):
-    pos, neg = frozenset(("collision_x",)), frozenset(("collision_y",))
-    h = hash((pos, neg, False))
-    assert h not in pairs._INTERNED
-    decoy = gen(0, "x")
-    monkeypatch.setitem(pairs._INTERNED, h, decoy)
-    monkeypatch.setattr(pairs, "_COLLIDED", {})
-    p = pairs.PairElem(pos, neg)
-    assert p is not decoy and (p.pos, p.neg, p.top) == (pos, neg, False)
-    assert hash(p) == h and pairs.serialize(p) == "pair([collision_x],[collision_y])"
-    assert pairs.PairElem(frozenset(pos), frozenset(neg)) is p
-    assert pairs._INTERNED[h] is decoy and gen(0, "x") is decoy
+    monkeypatch.setattr(pairs, "_INTERNED", dict(pairs._INTERNED))
+    x, y = ConstantHashName("collision_x"), ConstantHashName("collision_y")
+    p = pairs.PairElem(frozenset((x,)), frozenset((y,)))
+    q = pairs.PairElem(frozenset((y,)), frozenset((x,)))
+    # the intern keys collide, so only field equality tells them apart
+    assert hash((p.pos, p.neg, p.top)) == hash((q.pos, q.neg, q.top))
+    assert p is not q
+    assert pairs.serialize(p) == "pair([collision_x],[collision_y])"
+    assert pairs.serialize(q) == "pair([collision_y],[collision_x])"
+    assert pairs.PairElem(frozenset((x,)), frozenset((y,))) is p
+    assert pairs.PairElem(frozenset((y,)), frozenset((x,))) is q
     # a colliding value is still checked before it is built
-    monkeypatch.setitem(pairs._INTERNED, hash((pos, pos, False)), decoy)
     with pytest.raises(ValueError):
-        pairs.PairElem(pos, pos)
+        pairs.PairElem(frozenset((x,)), frozenset((x,)))
 
 
 def test_compare_with_other_types_is_false():
