@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import conlat, descent, expr, freedist, freepairs, freeset, suite
+from . import conlat, descent, expr, freepairs, freeset, suite
 
 
 def cmd_eval(args) -> int:
@@ -163,8 +163,13 @@ def cmd_descent(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    if args.cases < 1:
-        raise ValueError(f"--cases must be at least 1, got {args.cases}")
+    for flag, value, least in (
+        ("--cases", args.cases, 1),
+        ("--max-rank", args.max_rank, 0),
+        ("--omega-size", args.omega_size, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     cfg = suite.SuiteConfig(
         seed=args.seed,
         cases=args.cases,
@@ -292,14 +297,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (
-        expr.ParseError,
-        conlat.FormatError,
-        freedist.DomainError,
-        freedist.ReducedFormError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    # OSError covers unreadable paths; ValueError covers ParseError,
+    # FormatError, DomainError and ReducedFormError.
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -55,16 +55,12 @@ class Congruence:
         return self.serialize()
 
 
-def _canonical_blockof(raw) -> tuple:
+def congruence_from_blockof(raw) -> Congruence:
     seen = {}
     out = []
     for b in raw:
         out.append(seen.setdefault(b, len(seen)))
-    return tuple(out)
-
-
-def congruence_from_blockof(raw) -> Congruence:
-    return Congruence(_canonical_blockof(raw))
+    return Congruence(tuple(out))
 
 
 def congruence_from_blocks(size: int, blocks) -> Congruence:
@@ -452,7 +448,7 @@ def quotient(L: FinAlgebra, c: Congruence):
     """The quotient algebra modulo c and the projection array.
 
     c must be compatible with every basic operation and with the
-    designated join; the induced tables are verified well-defined.
+    designated join, which makes every induced table well defined.
     """
     if c.size != L.size:
         raise freedist.DomainError("partition size mismatch")
@@ -470,21 +466,12 @@ def quotient(L: FinAlgebra, c: Congruence):
 
     def induce(table, arity):
         if arity == 1:
-            new = [proj[table[rep[a]]] for a in range(nb)]
-            for x in range(L.size):
-                if new[proj[x]] != proj[table[x]]:
-                    raise freedist.DomainError("induced table not well defined")
-        else:
-            new = [
-                proj[table[rep[a] * L.size + rep[b]]]
-                for a in range(nb)
-                for b in range(nb)
-            ]
-            for x in range(L.size):
-                for y in range(L.size):
-                    if new[proj[x] * nb + proj[y]] != proj[table[x * L.size + y]]:
-                        raise freedist.DomainError("induced table not well defined")
-        return tuple(new)
+            return tuple(proj[table[rep[a]]] for a in range(nb))
+        return tuple(
+            proj[table[rep[a] * L.size + rep[b]]]
+            for a in range(nb)
+            for b in range(nb)
+        )
 
     ops = tuple(
         Operation(op.name, op.arity, induce(op.table, op.arity)) for op in L.ops
@@ -770,23 +757,20 @@ def parse_semhom(text: str, dom: SemilatticeTable) -> SemHom:
         raise FormatError(str(exc)) from exc
 
 
-def format_algebra(L: FinAlgebra, join_name: str | None = None) -> str:
+def format_algebra(L: FinAlgebra) -> str:
     lines = [f"alg {L.size}"]
     for op in L.ops:
         lines.append(
             f"op {op.name} {op.arity} " + " ".join(str(t) for t in op.table)
         )
-    if join_name is not None:
-        lines.append(f"join {join_name}")
+    named = next(
+        (op.name for op in L.ops if op.arity == 2 and op.table == L.join),
+        None,
+    )
+    if named is not None:
+        lines.append(f"join {named}")
     else:
-        named = next(
-            (op.name for op in L.ops if op.arity == 2 and op.table == L.join),
-            None,
-        )
-        if named is not None:
-            lines.append(f"join {named}")
-        else:
-            lines.append("join " + " ".join(str(t) for t in L.join))
+        lines.append("join " + " ".join(str(t) for t in L.join))
     if L.top is not None:
         lines.append(f"top {L.top}")
     return "\n".join(lines) + "\n"

@@ -1,10 +1,12 @@
 """Free distributive extension of a (join, 0)-semilattice.
 
-Elements are layered over a base semilattice supplied through the
-``Base`` contract (``zero``, ``join``, ``leq``, ``serialize``).  A value
-of the extension is either a raw base value (rank 0) or a ``Node``: a
-projection together with a nonempty set of triples ``<u, v, w>`` drawn
-one rank down, stored in canonical form:
+Elements are layered over a base semilattice, passed as the first
+argument of every operation here.  A base is any object with a ``ZERO``
+attribute and ``join(a, b)``, ``leq(a, b)`` and ``serialize(a)``
+functions, looked up on it at each call; the ``slat.pairs`` module is
+one.  A value of the extension is either a raw base value (rank 0) or a
+``Node``: a projection together with a nonempty set of triples
+``<u, v, w>`` drawn one rank down, stored in canonical form:
 
   * every triple satisfies ``w <= u v v``;
   * no stored triple has ``u == v`` (in particular none is diagonal --
@@ -59,21 +61,6 @@ class ReducedFormError(ValueError):
     def __init__(self, condition: str, message: str):
         super().__init__(f"{condition}: {message}")
         self.condition = condition
-
-
-class Base:
-    """Contract for the rank-0 semilattice underneath the extension."""
-
-    zero: Any = None
-
-    def join(self, a, b):
-        raise NotImplementedError
-
-    def leq(self, a, b) -> bool:
-        raise NotImplementedError
-
-    def serialize(self, a) -> str:
-        raise NotImplementedError
 
 
 class Triple(NamedTuple):
@@ -138,7 +125,7 @@ def proj(x):
 
 
 @lru_cache(maxsize=None)
-def serialize(base: Base, x) -> str:
+def serialize(base, x) -> str:
     if not isinstance(x, Node):
         return base.serialize(x)
     triples = ", ".join(
@@ -147,11 +134,11 @@ def serialize(base: Base, x) -> str:
     return f"red({serialize(base, x.proj)}; [{triples}])"
 
 
-def triple_key(base: Base, t: Triple):
+def triple_key(base, t: Triple):
     return tuple(serialize(base, c) for c in t)
 
 
-def make_node(base: Base, projection, triples):
+def make_node(base, projection, triples):
     """Package a projection and surviving triples as a canonical element."""
     ts = sorted(set(triples), key=lambda t: triple_key(base, t))
     if not ts:
@@ -168,24 +155,20 @@ def _view(x, r):
 
 def triples_of(x) -> tuple:
     """The full triple set of x at its own rank, diagonal included."""
-    if isinstance(x, Node):
-        p = x.proj
-        return (Triple(p, p, p),) + x.triples
-    return (Triple(x, x, x),)
+    return _lift(x, rank(x))
 
 
 @lru_cache(maxsize=None)
-def leq(base: Base, x, y) -> bool:
+def leq(base, x, y) -> bool:
     if x == y:
         return True
     if not isinstance(x, Node) and not isinstance(y, Node):
         return base.leq(x, y)
     r = max(rank(x), rank(y))
-    px, tx = _view(x, r)
-    py, ty = _view(y, r)
-    yset = set(ty)
-    yset.add(Triple(py, py, py))
-    for t in (Triple(px, px, px),) + tuple(tx):
+    ly = _lift(y, r)
+    py = ly[0].u
+    yset = set(ly)
+    for t in _lift(x, r):
         if t in yset:
             continue
         if not (leq(base, t.u, py) or leq(base, t.w, py)):
@@ -194,22 +177,22 @@ def leq(base: Base, x, y) -> bool:
 
 
 @lru_cache(maxsize=None)
-def join(base: Base, x, y):
+def join(base, x, y):
     if not isinstance(x, Node) and not isinstance(y, Node):
         return base.join(x, y)
     out = _rewrite_join(base, x, y, None)
     return validate(base, out)
 
 
-def join_with_order(base: Base, x, y, rng):
+def join_with_order(base, x, y, rng):
     """The join pipeline with rule choices drawn from rng (uncached)."""
     if not isinstance(x, Node) and not isinstance(y, Node):
         return base.join(x, y)
     return validate(base, _rewrite_join(base, x, y, rng))
 
 
-def join_all(base: Base, items, start=None):
-    acc = base.zero if start is None else start
+def join_all(base, items):
+    acc = base.ZERO
     for it in items:
         acc = join(base, acc, it)
     return acc
@@ -231,7 +214,7 @@ def _lift(x, r):
     return (Triple(p, p, p),) + tuple(ts)
 
 
-def step1(base: Base, ws: frozenset, rng=None):
+def step1(base, ws: frozenset, rng=None):
     """Merge one swapped pair of non-diagonal triples; None at fixpoint."""
     pairs = set()
     for t in ws:
@@ -250,7 +233,7 @@ def step1(base: Base, ws: frozenset, rng=None):
     return ws - pick | {Triple(c, c, c)}
 
 
-def phi(base: Base, ws: frozenset) -> frozenset:
+def phi(base, ws: frozenset) -> frozenset:
     """Fuse all diagonal triples into the diagonal of their join."""
     diags = {t for t in ws if is_diagonal(t)}
     if not diags:
@@ -267,7 +250,7 @@ def _the_diagonal(ws):
     return diags[0]
 
 
-def step2(base: Base, ws: frozenset, rng=None):
+def step2(base, ws: frozenset, rng=None):
     """Absorb one triple whose middle entry is below the projection.
 
     The absorbed triple's third entry is joined onto the projection;
@@ -284,7 +267,7 @@ def step2(base: Base, ws: frozenset, rng=None):
     return ws - {t, d} | {Triple(raised, raised, raised)}
 
 
-def psi(base: Base, ws: frozenset):
+def psi(base, ws: frozenset):
     """Drop dominated triples and package the set as a canonical element."""
     d = _the_diagonal(ws)
     p = d.u
@@ -298,14 +281,14 @@ def psi(base: Base, ws: frozenset):
     return make_node(base, p, keep)
 
 
-def bowtie(base: Base, a, b, c):
+def bowtie(base, a, b, c):
     """The splitting element for c <= a v b; below a, mirror-joins to c.
 
     Raises DomainError when c <= a v b fails.
     """
     if not leq(base, c, join(base, a, b)):
         raise DomainError("not in C(S)")
-    zero = base.zero
+    zero = base.ZERO
     if a == b or b == zero or c == zero:
         return c
     if a == zero:
@@ -313,35 +296,33 @@ def bowtie(base: Base, a, b, c):
     return validate(base, make_node(base, zero, [Triple(a, b, c)]))
 
 
-def distributivity_witness(base: Base, a, b, c):
-    """For c <= a v b: elements (x, y) with x <= a, y <= b, x v y = c."""
-    if not leq(base, c, join(base, a, b)):
-        raise DomainError("not in C(S)")
+def distributivity_witness(base, a, b, c):
+    """For c <= a v b: (x, y) with x <= a, y <= b, x v y = c; else DomainError."""
     return bowtie(base, a, b, c), bowtie(base, b, a, c)
 
 
-def map_elem(src: Base, dst: Base, f, x):
-    """Extend a base homomorphism f over the whole extension.
+def map_elem(dst, f, x):
+    """Extend a base homomorphism f into the base dst over the whole extension.
 
     Decomposes x into its projection and per-triple splitting elements,
     maps each through f, and re-joins.
     """
     if not isinstance(x, Node):
         return f(x)
-    out = map_elem(src, dst, f, x.proj)
+    out = map_elem(dst, f, x.proj)
     for t in x.triples:
         img = bowtie(
             dst,
-            map_elem(src, dst, f, t.u),
-            map_elem(src, dst, f, t.v),
-            map_elem(src, dst, f, t.w),
+            map_elem(dst, f, t.u),
+            map_elem(dst, f, t.v),
+            map_elem(dst, f, t.w),
         )
         out = join(dst, out, img)
     return out
 
 
 @lru_cache(maxsize=None)
-def validate(base: Base, x):
+def validate(base, x):
     """Check every canonical-form invariant recursively.
 
     Returns x unchanged, or raises ReducedFormError naming the violated

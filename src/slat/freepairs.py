@@ -16,30 +16,12 @@ from enum import Enum
 
 from . import freedist, pairs
 from .freedist import Node, Triple
+from .pairs import gen
 
-
-class PairBase(freedist.Base):
-    zero = pairs.ZERO
-
-    def join(self, a, b):
-        return pairs.join(a, b)
-
-    def leq(self, a, b):
-        return pairs.leq(a, b)
-
-    def serialize(self, a):
-        return pairs.serialize(a)
-
-
-BASE = PairBase()
+BASE = pairs  # a base of the extension: it has ZERO, join, leq and serialize
 
 ZERO = pairs.ZERO
 ONE = pairs.TOP
-
-
-def gen(i: int, name: str):
-    """The rank-0 generator of polarity i for the given name."""
-    return pairs.gen(i, name)
 
 
 def join(x, y):
@@ -88,16 +70,12 @@ def in_g(x, names) -> bool:
 
 def retract(alpha: str, i: int, x):
     """Extension of the pair retraction killing gen(i, alpha)."""
-    return freedist.map_elem(
-        BASE, BASE, lambda p: pairs.retract(alpha, i, p), x
-    )
+    return freedist.map_elem(BASE, lambda p: pairs.retract(alpha, i, p), x)
 
 
 def map_names(f, x):
     """Extension of a generator renaming over the whole semilattice."""
-    return freedist.map_elem(
-        BASE, BASE, lambda p: pairs.map_generators(f, p), x
-    )
+    return freedist.map_elem(BASE, lambda p: pairs.map_generators(f, p), x)
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +181,13 @@ def _candidate_triples(universe, projection):
 
 
 def _triple_subsets(triples, max_triples):
-    triples = sorted(triples, key=lambda t: triple_key(t))
+    triples = sorted(triples, key=lambda t: freedist.triple_key(BASE, t))
     for size in range(1, max_triples + 1):
         for combo in itertools.combinations(triples, size):
             chosen = set(combo)
             if any(Triple(t.v, t.u, t.w) in chosen for t in combo):
                 continue
             yield combo
-
-
-def triple_key(t: Triple):
-    return freedist.triple_key(BASE, t)
 
 
 def all_rank1(names, max_triples: int) -> list:
@@ -326,12 +300,7 @@ def _below_avoiding(w, name) -> list:
 
 
 def evaporation_sweep(
-    alpha: str,
-    beta: str,
-    delta: str,
-    side_triples: int = 2,
-    cross_check_pairs: int = 120,
-    seed: int = 0,
+    alpha: str, beta: str, delta: str, side_triples: int = 2
 ) -> SweepReport:
     """Exhaustive bounded evaporation sweep over three generators.
 
@@ -339,13 +308,13 @@ def evaporation_sweep(
     gen(i, alpha); y below gen(1, delta) and gen(j, beta); z over every
     rank <= 1 element avoiding delta that sits below x v y.  Every
     candidate z goes through the full checker, and on a seeded sample of
-    pairs the candidate set is cross-checked against a brute scan of the
-    single-triple universe under the real order.
+    about 120 pairs the candidate set is cross-checked against a brute
+    scan of the single-triple universe under the real order.
     """
     if len({alpha, beta, delta}) != 3:
         raise ValueError("alpha, beta, delta must be distinct")
     report = SweepReport(name="evaporation")
-    rng = random.Random(f"{seed}:evaporation-crosscheck")
+    rng = random.Random("0:evaporation-crosscheck")
     z_univ = all_rank1({alpha, beta}, 1)
     sides = {
         (pol, other, k): evaporation_side_universe(delta, other, pol, k, side_triples)
@@ -357,7 +326,7 @@ def evaporation_sweep(
         for i in (0, 1)
         for j in (0, 1)
     )
-    sample_rate = min(1.0, cross_check_pairs / max(total_pairs, 1))
+    sample_rate = min(1.0, 120 / max(total_pairs, 1))
     cross_checks = 0
     cross_bad = 0
     nonzero_pairs = 0

@@ -200,11 +200,11 @@ def evaporation(names) -> tuple:
     return sweep, sweep.ok and sweep.notes["nonzero_pairs"] >= 1
 
 
-def erosion_domain(L: conlat.FinAlgebra, max_len: int = 4):
+def erosion_domain(L: conlat.FinAlgebra):
     """All (x0, x1, Z) with Z a distinct-element chain sequence of length
-    2..max_len whose leading join lies below its last entry."""
+    2..4 whose leading join lies below its last entry."""
     carrier = range(L.size)
-    for length in range(2, max_len + 1):
+    for length in range(2, 5):
         for zs in itertools.permutations(carrier, length):
             if not L.leq(L.join_all(zs[:-1]), zs[-1]):
                 continue

@@ -297,6 +297,30 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("con", "{dir}", "conc"),
+        ("con", "{alg}", "wd", "{dir}"),
+        ("freeset", "{dir}"),
+        ("descent", "{dir}", "validate"),
+        ("suite", "--only", "funayama", "--corpus", "{corpus}"),
+    ],
+    ids=["con-conc", "con-wd", "freeset", "descent", "suite-corpus"],
+)
+def test_unreadable_path_exit_2(capsys, tmp_path, argv):
+    # each path names a directory where the command reads a file
+    alg = tmp_path / "L.alg"
+    alg.write_text(conlat.format_algebra(corpus.chain(2)))
+    corpus_dir = tmp_path / "corpus"
+    (corpus_dir / "x.alg").mkdir(parents=True)
+    paths = {"dir": tmp_path, "alg": alg, "corpus": corpus_dir}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["con"]) == 2
     assert main(["nosuchcommand"]) == 2
@@ -315,6 +339,17 @@ def test_suite_cases_below_one_exit_2(capsys):
         code, out, err = run(capsys, "suite", "--only", "relations", "--cases", cases)
         assert code == 2 and out == ""
         assert "--cases" in err
+
+
+def test_suite_omega_size_and_max_rank_below_range_exit_2(capsys):
+    for flag, value in (
+        ("--omega-size", "0"), ("--omega-size", "-2"), ("--max-rank", "-1")
+    ):
+        code, out, err = run(capsys, "suite", "--only", "lub", flag, value)
+        assert code == 2 and out == ""
+        assert flag in err
+    code, out, _ = run(capsys, "suite", "--only", "lub", "--cases", "5", "--max-rank", "0")
+    assert code == 0 and out.endswith("all-passed true\n")
 
 
 def test_suite_unknown_name(capsys):

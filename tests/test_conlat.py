@@ -142,6 +142,27 @@ def test_conc_table_passes_the_semilattice_recheck():
         assert semilattice(t.size, t.join, t.zero, t.labels) == t
 
 
+def unary_algebras():
+    """chain(4) with a unary successor, and chain(4) with its order
+    reversal: the only algebras here with a unary operation."""
+    ch = corpus.chain(4)
+    return [
+        (name, fin_algebra(4, list(ch.ops) + [(name, 1, table)], ch.join, top=3))
+        for name, table in (("succ", (1, 2, 3, 3)), ("neg", (3, 2, 1, 0)))
+    ]
+
+
+def test_unary_algebras():
+    from slat.suite import brute_theta
+
+    for name, L in unary_algebras():
+        pairs = [(x, y) for x in range(4) for y in range(4)]
+        assert all(theta(L, x, y) == brute_theta(L, x, y) for x, y in pairs), name
+        assert len(conlat.all_congruences(L)) == 4, name
+        assert check_congruence_compatible(L), name
+        assert parse_algebra(format_algebra(L)) == L, name
+
+
 def test_theta_plus():
     L = corpus.chain(3)
     assert theta_plus(L, 0, 2) == identity_congruence(3)  # x <= y
@@ -295,6 +316,32 @@ def test_quotient_rejects_incompatible():
     bad = congruence_from_blocks(5, [(0, 1), (2,), (3,), (4,)])
     with pytest.raises(DomainError):
         quotient(L, bad)
+
+
+def test_quotient_tables_commute_with_the_projection():
+    # The oracle for quotient's induced tables: proj is a homomorphism for
+    # every operation and the designated join, and it sends top to top.
+    named = dict(corpus.bundled_corpus())
+    products = [corpus.product(named[a], named[b]) for a, b in PRODUCT_FACTORS]
+    algebras = list(named.values()) + products + [L for _, L in unary_algebras()]
+    for L in algebras:
+        n = L.size
+        for x in range(n):
+            for y in range(x + 1, n):
+                Q, proj = quotient(L, theta(L, x, y))
+                assert [q[:2] for q in Q.ops] == [op[:2] for op in L.ops]
+                tables = [(op.arity, op.table, q.table) for op, q in zip(L.ops, Q.ops)]
+                tables.append((2, L.join, Q.join))
+                for arity, table, qtable in tables:
+                    if arity == 1:
+                        for a in range(n):
+                            assert proj[table[a]] == qtable[proj[a]]
+                        continue
+                    for a in range(n):
+                        for b in range(n):
+                            got = qtable[proj[a] * Q.size + proj[b]]
+                            assert proj[table[a * n + b]] == got
+                assert Q.top == proj[L.top]
 
 
 def test_quotient_theta_correspondence():

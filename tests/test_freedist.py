@@ -36,12 +36,12 @@ B0 = gen(0, "y")
 B1 = gen(1, "y")
 
 
-class TableBase(freedist.Base):
+class TableBase:
     """A SemilatticeTable as a rank-0 base for the extension."""
 
     def __init__(self, table: conlat.SemilatticeTable):
         self.table = table
-        self.zero = table.zero
+        self.ZERO = table.zero
 
     def join(self, a, b):
         return self.table.join_of(a, b)
@@ -329,9 +329,9 @@ def test_decomposition_rejoins():
 
 def test_map_elem_identity():
     x = bowtie(BASE, A0, A1, ONE)
-    assert map_elem(BASE, BASE, lambda p: p, x) == x
+    assert map_elem(BASE, lambda p: p, x) == x
     nd = bowtie(BASE, A0, B1, bowtie(BASE, A0, B1, B1))
-    assert map_elem(BASE, BASE, lambda p: p, nd) == nd
+    assert map_elem(BASE, lambda p: p, nd) == nd
 
 
 def test_map_elem_across_bases():
@@ -349,15 +349,15 @@ def test_map_elem_across_bases():
         return out
 
     x = bowtie(BASE, A0, A1, ONE)
-    fx = map_elem(BASE, base, f, x)
+    fx = map_elem(base, f, x)
     assert fx == bowtie(base, 1, 2, 3)
     # join preservation on samples
     rng = random.Random("freedist:mapjoin")
     for _ in range(100):
         a = freepairs.random_elem(rng, ("x",), 1)
         b = freepairs.random_elem(rng, ("x",), 1)
-        lhs = map_elem(BASE, base, f, join(BASE, a, b))
-        rhs = join(base, map_elem(BASE, base, f, a), map_elem(BASE, base, f, b))
+        lhs = map_elem(base, f, join(BASE, a, b))
+        rhs = join(base, map_elem(base, f, a), map_elem(base, f, b))
         assert lhs == rhs
 
 
@@ -383,8 +383,8 @@ def test_map_elem_composition_across_three_bases():
     rng = random.Random("freedist:threebase")
     for _ in range(80):
         x = freepairs.random_elem(rng, ("x",), 2)
-        composed = map_elem(BASE, two, lambda p: g(f(p)), x)
-        staged = map_elem(diamond, two, g, map_elem(BASE, diamond, f, x))
+        composed = map_elem(two, lambda p: g(f(p)), x)
+        staged = map_elem(two, g, map_elem(diamond, f, x))
         assert composed == staged
 
 

@@ -165,7 +165,7 @@ def test_evaporation_substantive_instance():
 
 
 def test_evaporation_sweep_small():
-    rep = freepairs.evaporation_sweep("a", "b", "d", side_triples=1, cross_check_pairs=40)
+    rep = freepairs.evaporation_sweep("a", "b", "d", side_triples=1)
     assert rep.ok
     assert rep.notes["nonzero_pairs"] >= 1
     assert rep.notes["cross_bad"] == 0
