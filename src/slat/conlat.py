@@ -311,7 +311,6 @@ class SemilatticeTable:
     size: int
     join: tuple
     zero: int
-    labels: tuple | None = None
 
     def join_of(self, a: int, b: int) -> int:
         return self.join[a * self.size + b]
@@ -323,7 +322,7 @@ class SemilatticeTable:
         return reduce(self.join_of, items, self.zero)
 
 
-def semilattice(size, join, zero, labels=None) -> SemilatticeTable:
+def semilattice(size, join, zero) -> SemilatticeTable:
     join = _check_semilattice_table(size, join)
     if not (0 <= zero < size):
         raise ValueError("zero out of range")
@@ -331,11 +330,7 @@ def semilattice(size, join, zero, labels=None) -> SemilatticeTable:
     for a in range(size):
         if get(zero, a) != a:
             raise ValueError("zero not neutral")
-    if labels is not None:
-        labels = tuple(labels)
-        if len(labels) != size:
-            raise ValueError("wrong number of labels")
-    return SemilatticeTable(size, join, zero, labels)
+    return SemilatticeTable(size, join, zero)
 
 
 class ConcResult(NamedTuple):
@@ -360,8 +355,7 @@ def conc(L: FinAlgebra) -> ConcResult:
         for j in range(i, k):
             table[i * k + j] = table[j * k + i] = index[part_join(c1, cons[j])]
     zero = index[identity_congruence(L.size)]
-    labels = tuple(c.serialize() for c in cons)
-    sem = SemilatticeTable(k, tuple(table), zero, labels)
+    sem = SemilatticeTable(k, tuple(table), zero)
     pair_index = {}
     for x in range(L.size):
         for y in range(L.size):
@@ -448,7 +442,8 @@ def quotient(L: FinAlgebra, c: Congruence):
     """The quotient algebra modulo c and the projection array.
 
     c must be compatible with every basic operation and with the
-    designated join, which makes every induced table well defined.
+    designated join, which makes every induced table well defined and the
+    induced join a semilattice, so the result skips ``fin_algebra()``'s recheck.
     """
     if c.size != L.size:
         raise freedist.DomainError("partition size mismatch")
@@ -478,7 +473,7 @@ def quotient(L: FinAlgebra, c: Congruence):
     )
     join = induce(L.join, 2)
     top = proj[L.top] if L.top is not None else None
-    return fin_algebra(nb, ops, join, top), tuple(proj)
+    return FinAlgebra(nb, ops, join, top), tuple(proj)
 
 
 def _relation_masks(c: Congruence) -> tuple:

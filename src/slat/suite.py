@@ -243,7 +243,7 @@ def _small_semilattices() -> list:
     for name in ("chain1", "chain2", "chain3", "chain4", "2x2"):
         L = dict(corpus.bundled_corpus())[name]
         zero = conlat.algebra_zero(L)
-        tables.append((name, conlat.semilattice(L.size, L.join, zero)))
+        tables.append((name, conlat.SemilatticeTable(L.size, L.join, zero)))
     return tables
 
 
@@ -409,8 +409,6 @@ def run_functoriality(cfg: SuiteConfig) -> SuiteResult:
 
 def run_lemma44(cfg: SuiteConfig) -> SuiteResult:
     names = cfg.names()
-    if len(names) < 2:
-        raise ValueError("lemma44 suite needs omega-size >= 2")
     rngs = (cfg.rng("lemma44", idx) for idx in range(cfg.cases))
     sweep, random_sub, counterexamples = lemma44(names, cfg.max_rank, rngs)
     return _result(
@@ -425,10 +423,7 @@ def run_lemma44(cfg: SuiteConfig) -> SuiteResult:
 
 
 def run_evaporation(cfg: SuiteConfig) -> SuiteResult:
-    names = cfg.names()
-    if len(names) < 3:
-        raise ValueError("evaporation suite needs omega-size >= 3")
-    sweep, ok = evaporation(names)
+    sweep, ok = evaporation(cfg.names())
     return _result(
         "evaporation",
         ok,
@@ -520,6 +515,9 @@ SUITES = {
     "roundtrip": run_roundtrip,
 }
 
+# The fewest names each suite needs; checked before any suite runs.
+MIN_OMEGA = {"lemma44": 2, "evaporation": 3}
+
 
 def run_suites(cfg: SuiteConfig, only: str | None = None) -> tuple:
     """Run the selected suites; returns (all_passed, result list)."""
@@ -528,5 +526,8 @@ def run_suites(cfg: SuiteConfig, only: str | None = None) -> tuple:
             f"unknown suite {only!r}; choose from {', '.join(SUITES)}"
         )
     names = [only] if only else list(SUITES)
+    for name in names:
+        if cfg.omega_size < MIN_OMEGA.get(name, 1):
+            raise ValueError(f"{name} suite needs omega-size >= {MIN_OMEGA[name]}")
     results = [SUITES[name](cfg) for name in names]
     return all(r.passed for r in results), results

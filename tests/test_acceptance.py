@@ -187,13 +187,10 @@ def test_c12_cli_roundtrip_and_determinism():
         sys.executable, "-m", "slat.cli", "suite", "--seed", "13",
         "--cases", "60",
     ]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
-    deterministic = (
-        first.returncode == 0
-        and second.returncode == 0
-        and first.stdout == second.stdout == SUITE_GOLDEN.read_text()
-    )
+    # The golden file was recorded by another process, under another
+    # string-hash seed, so one run shows the output is deterministic.
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    deterministic = proc.returncode == 0 and proc.stdout == SUITE_GOLDEN.read_text()
     report(
         12,
         "cli-roundtrip-determinism",

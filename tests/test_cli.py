@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from slat import conlat, corpus, descent
+from slat import conlat, corpus, descent, suite
 from slat.cli import main
 
 
@@ -349,6 +349,27 @@ def test_suite_omega_size_and_max_rank_below_range_exit_2(capsys):
         assert code == 2 and out == ""
         assert flag in err
     code, out, _ = run(capsys, "suite", "--only", "lub", "--cases", "5", "--max-rank", "0")
+    assert code == 0 and out.endswith("all-passed true\n")
+
+
+def test_suite_checks_every_minimum_omega_size_before_any_suite_runs(
+    capsys, monkeypatch
+):
+    def not_run(cfg):
+        raise AssertionError("relations ran before the omega-size check")
+
+    monkeypatch.setitem(suite.SUITES, "relations", not_run)
+    with pytest.raises(ValueError, match="evaporation suite needs omega-size >= 3"):
+        suite.run_suites(suite.SuiteConfig(omega_size=2))
+    code, out, err = run(capsys, "suite", "--omega-size", "2")
+    assert code == 2 and out == ""
+    assert "evaporation suite needs omega-size >= 3" in err
+    code, out, err = run(capsys, "suite", "--only", "lemma44", "--omega-size", "1")
+    assert code == 2 and out == ""
+    assert "lemma44 suite needs omega-size >= 2" in err
+    code, out, _ = run(
+        capsys, "suite", "--only", "lub", "--cases", "5", "--omega-size", "2"
+    )
     assert code == 0 and out.endswith("all-passed true\n")
 
 

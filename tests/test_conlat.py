@@ -134,12 +134,12 @@ def test_theta_matches_product_of_brute_theta():
 
 def test_conc_table_passes_the_semilattice_recheck():
     # conc builds its table without semilattice()'s check; the check is
-    # the oracle that the table is a (join, 0)-semilattice on its labels.
+    # the oracle that the table is a (join, 0)-semilattice.
     named = dict(corpus.bundled_corpus())
     products = [corpus.product(named[a], named[b]) for a, b in PRODUCT_FACTORS]
     for L in list(named.values()) + products:
         t = conc(L).table
-        assert semilattice(t.size, t.join, t.zero, t.labels) == t
+        assert semilattice(t.size, t.join, t.zero) == t
 
 
 def unary_algebras():
@@ -342,6 +342,7 @@ def test_quotient_tables_commute_with_the_projection():
                             got = qtable[proj[a] * Q.size + proj[b]]
                             assert proj[table[a * n + b]] == got
                 assert Q.top == proj[L.top]
+                assert fin_algebra(Q.size, Q.ops, Q.join, Q.top) == Q
 
 
 def test_quotient_theta_correspondence():

@@ -468,12 +468,26 @@ def test_validate_rejects_unsorted():
 
 
 def test_validate_accepts_join_output():
+    # join, join_with_order and bowtie build canonical values without
+    # rechecking them; validate is the oracle that they do.
+    elems = freepairs.all_rank1({"x"}, 2)
+    assert len(elems) == 182
+    for i, x in enumerate(elems):
+        assert validate(BASE, x) is x
+        for y in elems[i + 1 :]:
+            out = join(BASE, x, y)
+            assert validate(BASE, out) is out
     rng = random.Random("freedist:valclosure")
-    for _ in range(60):
+    for _ in range(300):
         x = freepairs.random_elem(rng, ("x", "y"), 2)
         y = freepairs.random_elem(rng, ("x", "y"), 2)
-        out = join(BASE, x, y)
-        assert validate(BASE, out) == out
+        a, b, c = freepairs.random_triple(rng, ("x", "y"), 1)
+        for out in (
+            join(BASE, x, y),
+            join_with_order(BASE, x, y, rng),
+            bowtie(BASE, a, b, c),
+        ):
+            assert validate(BASE, out) is out
 
 
 # -- serialization -----------------------------------------------------------
