@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from operator import ne
 from typing import Callable, NamedTuple
 
 from . import freedist
@@ -229,12 +230,39 @@ def is_compatible(L: FinAlgebra, c: Congruence, table=None) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _translations(L: FinAlgebra) -> tuple:
+    """For each element a, the images of a under every basic translation.
+
+    The images are f(a) for each unary op f, the row f(a, z) for each
+    binary op f, and the column f(z, a) as well when f's table is not
+    commutative (for a commutative f the column repeats the row).  Every
+    element's tuple lists the translations in the same order, so zipping
+    the tuples of a and b pairs each image of a with that of b.
+    """
+    n = L.size
+    streams = []
+    for op in L.ops:
+        t = op.table
+        if op.arity == 1:
+            streams.append([t[a:a + 1] for a in range(n)])
+            continue
+        rows = [t[a * n:a * n + n] for a in range(n)]
+        streams.append(rows)
+        cols = [t[a::n] for a in range(n)]
+        if cols != rows:
+            streams.append(cols)
+    return tuple(
+        tuple(itertools.chain.from_iterable(s[a] for s in streams)) for a in range(n)
+    )
+
+
+@lru_cache(maxsize=None)
 def theta(L: FinAlgebra, x: int, y: int) -> Congruence:
     """Least congruence of the basic operations identifying x and y.
 
     Worklist closure: whenever a pending pair (a, b) merges two classes,
-    its translations (f(a, z), f(b, z)) and (f(z, a), f(z, b)) under every
-    basic op f and every z are pushed.  Every pushed pair lies in each
+    every pair of distinct images (f(a), f(b)) under a basic translation
+    f (see ``_translations``) is pushed.  Every pushed pair lies in each
     congruence containing (x, y), and every merged pair has its
     translations inside the result, so the result is compatible.
     """
@@ -243,6 +271,7 @@ def theta(L: FinAlgebra, x: int, y: int) -> Congruence:
         raise ValueError(f"elements must lie in 0..{n - 1}")
     if x > y:
         return theta(L, y, x)
+    images = _translations(L)
     block = list(range(n))
     members = [[a] for a in range(n)]
     pending = [(x, y)]
@@ -256,13 +285,8 @@ def theta(L: FinAlgebra, x: int, y: int) -> Congruence:
         for c in members[rb]:
             block[c] = ra
         members[ra] += members[rb]
-        for op in L.ops:
-            t = op.table
-            if op.arity == 1:
-                pending.append((t[a], t[b]))
-            else:
-                pending += zip(t[a * n:a * n + n], t[b * n:b * n + n])
-                pending += zip(t[a::n], t[b::n])
+        ia, ib = images[a], images[b]
+        pending += itertools.compress(zip(ia, ib), map(ne, ia, ib))
     return congruence_from_blockof(block)
 
 
@@ -286,14 +310,62 @@ def join_closure(gens, join) -> frozenset:
     return frozenset(found)
 
 
+class Congruences(tuple):
+    """Every congruence of an algebra, sorted by ``block_of``.
+
+    ``succ[g][i]`` is the index of ``self[i] v J[g]``, where J lists the
+    join-irreducible congruences.  So J[g] lies below self[i] exactly
+    when ``succ[g][i] == i``, and J[g] itself is ``self[succ[g][-1]]``,
+    the identity congruence being last.
+    """
+
+    def __new__(cls, cons, succ):
+        self = super().__new__(cls, cons)
+        self.succ = succ
+        return self
+
+
 @lru_cache(maxsize=None)
-def all_congruences(L: FinAlgebra) -> tuple:
-    """Every congruence of L: principal congruences closed under join."""
-    found = join_closure(
-        (theta(L, x, y) for x in range(L.size) for y in range(x, L.size)),
-        part_join,
+def all_congruences(L: FinAlgebra) -> Congruences:
+    """Every congruence of L, with its joins with the join-irreducibles.
+
+    Every congruence of a finite algebra is a join of principal ones.
+    They are taken finest first (a strictly finer partition has strictly
+    more blocks); one that is not yet a join of those before it is
+    join-irreducible, and the join closure grows by joining it with every
+    congruence found so far.  A congruence found at that step is c v g
+    for an older c, so its joins with the older join-irreducibles are
+    those of c joined with g, read from the same step.
+    """
+    n = L.size
+    principal = dict.fromkeys(
+        theta(L, x, y) for x in range(n) for y in range(x + 1, n)
     )
-    return tuple(sorted(found, key=lambda c: c.block_of))
+    cons = [identity_congruence(n)]
+    index = {cons[0]: 0}
+    succ = []
+    for g in sorted(principal, key=lambda c: -max(c.block_of)):
+        if g in index:
+            continue
+        old = len(cons)
+        step = []
+        origin = []
+        for i in range(old):
+            c = part_join(cons[i], g)
+            j = index.setdefault(c, len(cons))
+            if j == len(cons):
+                cons.append(c)
+                origin.append(i)
+            step.append(j)
+        for col in succ:
+            col += [step[col[i]] for i in origin]
+        succ.append(step + list(range(old, len(cons))))
+    order = sorted(range(len(cons)), key=lambda i: cons[i].block_of)
+    rank = {i: r for r, i in enumerate(order)}
+    return Congruences(
+        (cons[i] for i in order),
+        tuple(tuple(rank[col[i]] for i in order) for col in succ),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -344,18 +416,23 @@ def conc(L: FinAlgebra) -> ConcResult:
 
     Returns the join table over the canonically sorted congruence list,
     plus the map sending a carrier pair to the index of its principal
-    congruence.  The table is ``part_join`` on a join-closed set, so it is
-    a semilattice by construction and skips ``semilattice()``'s recheck.
+    congruence.  Row b of the table is a v b for every a: the fold of
+    ``succ[g]`` over the join-irreducibles g below b, since b is their
+    join.  It is a semilattice by construction, so it skips
+    ``semilattice()``'s recheck.
     """
     cons = all_congruences(L)
-    index = {c: i for i, c in enumerate(cons)}
     k = len(cons)
-    table = [0] * (k * k)
-    for i, c1 in enumerate(cons):
-        for j in range(i, k):
-            table[i * k + j] = table[j * k + i] = index[part_join(c1, cons[j])]
-    zero = index[identity_congruence(L.size)]
-    sem = SemilatticeTable(k, tuple(table), zero)
+    rows = []
+    for b in range(k):
+        row = range(k)
+        for col in cons.succ:
+            if col[b] == b:
+                row = map(col.__getitem__, row)
+        rows.append(row)
+    table = tuple(itertools.chain.from_iterable(rows))
+    index = {c: i for i, c in enumerate(cons)}
+    sem = SemilatticeTable(k, table, index[identity_congruence(L.size)])
     pair_index = {}
     for x in range(L.size):
         for y in range(L.size):

@@ -300,21 +300,21 @@ def _below_avoiding(w, name) -> list:
 
 
 def evaporation_sweep(
-    alpha: str, beta: str, delta: str, side_triples: int = 2
+    alpha: str, beta: str, delta: str, side_triples: int = 2, seed: int = 0
 ) -> SweepReport:
     """Exhaustive bounded evaporation sweep over three generators.
 
     x ranges over premise-satisfying elements below gen(0, delta) and
     gen(i, alpha); y below gen(1, delta) and gen(j, beta); z over every
     rank <= 1 element avoiding delta that sits below x v y.  Every
-    candidate z goes through the full checker, and on a seeded sample of
-    about 120 pairs the candidate set is cross-checked against a brute
-    scan of the single-triple universe under the real order.
+    candidate z goes through the full checker, and on a sample of about
+    120 pairs, drawn from seed, the candidate set is cross-checked against
+    a brute scan of the single-triple universe under the real order.
     """
     if len({alpha, beta, delta}) != 3:
         raise ValueError("alpha, beta, delta must be distinct")
     report = SweepReport(name="evaporation")
-    rng = random.Random("0:evaporation-crosscheck")
+    rng = random.Random(f"{seed}:evaporation-crosscheck")
     z_univ = all_rank1({alpha, beta}, 1)
     sides = {
         (pol, other, k): evaporation_side_universe(delta, other, pol, k, side_triples)

@@ -190,13 +190,14 @@ def lemma44(names, max_rank, rngs) -> tuple:
     return sweep, holds, counterexamples
 
 
-def evaporation(names) -> tuple:
-    """The exhaustive evaporation sweep over names[0], names[1], names[2].
+def evaporation(names, seed: int = 0) -> tuple:
+    """The exhaustive evaporation sweep over names[0], names[1], names[2],
+    its cross-check sample drawn from seed.
 
     Returns (sweep, verdict); the verdict needs no counterexample and at
     least one case with both sides nonzero.
     """
-    sweep = freepairs.evaporation_sweep(names[0], names[1], names[2])
+    sweep = freepairs.evaporation_sweep(names[0], names[1], names[2], seed=seed)
     return sweep, sweep.ok and sweep.notes["nonzero_pairs"] >= 1
 
 
@@ -423,7 +424,7 @@ def run_lemma44(cfg: SuiteConfig) -> SuiteResult:
 
 
 def run_evaporation(cfg: SuiteConfig) -> SuiteResult:
-    sweep, ok = evaporation(cfg.names())
+    sweep, ok = evaporation(cfg.names(), cfg.seed)
     return _result(
         "evaporation",
         ok,

@@ -1,11 +1,14 @@
 import functools
 import random
+from pathlib import Path
 
 import pytest
 
 from slat import conlat, corpus
+from slat.cli import main
 from slat.conlat import (
     FormatError,
+    all_congruences,
     all_partitions,
     check_congruence_compatible,
     conc,
@@ -161,6 +164,25 @@ def test_unary_algebras():
         assert len(conlat.all_congruences(L)) == 4, name
         assert check_congruence_compatible(L), name
         assert parse_algebra(format_algebra(L)) == L, name
+
+
+def noncommutative_algebra():
+    """chain(4) with r(x, y) = succ(y): the only algebra here with a binary
+    operation whose table is not commutative.  Its rows are constant, so
+    only its columns f(z, a) separate elements."""
+    ch = corpus.chain(4)
+    succ = (1, 2, 3, 3)
+    r = [succ[y] for x in range(4) for y in range(4)]
+    return fin_algebra(4, list(ch.ops) + [("r", 2, r)], ch.join, top=3)
+
+
+def test_theta_with_a_noncommutative_op():
+    from slat.suite import brute_theta
+
+    L = noncommutative_algebra()
+    for x in range(4):
+        for y in range(4):
+            assert theta(L, x, y) == brute_theta(L, x, y), (x, y)
 
 
 def test_theta_plus():
@@ -526,11 +548,82 @@ def test_join_closure():
     assert join_closure((), max) == frozenset()
 
 
+def corpus_and_products():
+    """(name, lattice) for the corpus and the con-large products."""
+    named = dict(corpus.bundled_corpus())
+    return list(named.items()) + [
+        (f"{a}*{b}", corpus.product(named[a], named[b])) for a, b in PRODUCT_FACTORS
+    ]
+
+
+def oracle_algebras():
+    """The corpus, the con-large products, the algebras with a unary or a
+    non-commutative operation, and the bare algebras on 3-5 elements, whose
+    congruences are all partitions (a lattice that is not distributive)."""
+    return (
+        corpus_and_products()
+        + unary_algebras()
+        + [("noncommutative", noncommutative_algebra())]
+        + [(f"bare{n}", bare_chain(n)) for n in (3, 4, 5)]
+    )
+
+
+def principal_closure(L):
+    """The reference for all_congruences: the join closure of every
+    principal congruence under part_join."""
+    n = L.size
+    found = join_closure(
+        (theta(L, x, y) for x in range(n) for y in range(x, n)), part_join
+    )
+    return tuple(sorted(found, key=lambda c: c.block_of))
+
+
+def test_all_congruences_matches_the_principal_closure():
+    for name, L in oracle_algebras():
+        assert all_congruences(L) == principal_closure(L), name
+    bare = [len(all_congruences(bare_chain(n))) for n in (3, 4, 5)]
+    assert bare == [5, 15, 52]
+    assert not is_distributive(conc(bare_chain(3)).table)
+
+
 def test_conc_table_is_part_join_on_every_ordered_pair():
-    for name, L in corpus.bundled_corpus():
+    for name, L in oracle_algebras():
         res = conc(L)
         k = res.table.size
         index = {c: i for i, c in enumerate(res.congruences)}
         for i, c1 in enumerate(res.congruences):
             for j, c2 in enumerate(res.congruences):
                 assert res.table.join[i * k + j] == index[part_join(c1, c2)], name
+
+
+def test_conc_of_a_chain_is_boolean():
+    # Con of an n-chain is 2^(n-1), its atoms the n - 1 covering pairs
+    for n in (8, 9, 10):
+        res = conc(corpus.chain(n))
+        assert res.table.size == 2 ** (n - 1)
+        assert len({res.pair_index[i, i + 1] for i in range(n - 1)}) == n - 1
+
+
+def test_congruences_of_a_product_are_pairs_of_congruences():
+    # Fraser-Horn: Con(A x B) is Con A x Con B for lattices
+    named = dict(corpus.bundled_corpus())
+    for a, b in PRODUCT_FACTORS:
+        A, B = named[a], named[b]
+        count = len(all_congruences(corpus.product(A, B)))
+        assert count == len(all_congruences(A)) * len(all_congruences(B)), (a, b)
+
+
+# `slat con FILE conc` for the corpus and the con-large products, each
+# under a "== name" header; recorded once, so any change to it must be
+# made on purpose.
+CONC_GOLDEN = Path(__file__).parent / "golden" / "conc_corpus.txt"
+
+
+def test_conc_output_matches_golden(capsys, tmp_path):
+    path = tmp_path / "lattice.alg"
+    out = []
+    for name, L in corpus_and_products():
+        path.write_text(format_algebra(L))
+        assert main(["con", str(path), "conc"]) == 0
+        out.append(f"== {name}\n" + capsys.readouterr().out)
+    assert "".join(out) == CONC_GOLDEN.read_text()

@@ -171,6 +171,25 @@ def test_evaporation_sweep_small():
     assert rep.notes["cross_bad"] == 0
 
 
+def test_evaporation_cross_check_sample_follows_the_seed(monkeypatch):
+    # The sweep lists the z below each pair's join once, and once more for
+    # a pair in the cross-check sample, so the sequence of those listings
+    # differs exactly when the samples do.
+    listed = []
+    below = freepairs._below_avoiding
+    monkeypatch.setattr(
+        freepairs, "_below_avoiding", lambda w, name: listed.append(w) or below(w, name)
+    )
+    runs = []
+    for seed in (0, 1):
+        listed.clear()
+        rep = freepairs.evaporation_sweep("a", "b", "d", side_triples=1, seed=seed)
+        assert rep.notes["cross_bad"] == 0 and rep.notes["cross_checks"] > 0
+        assert len(listed) == rep.notes["pairs"] + rep.notes["cross_checks"]
+        runs.append(list(listed))
+    assert runs[0] != runs[1]
+
+
 # -- distributivity at the base level ----------------------------------------
 
 

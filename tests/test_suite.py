@@ -62,7 +62,7 @@ def test_lemma44(monkeypatch):
 
 def test_evaporation(monkeypatch):
     report = SweepReport(name="evaporation", notes={"nonzero_pairs": 0})
-    monkeypatch.setattr(freepairs, "evaporation_sweep", lambda *args: report)
+    monkeypatch.setattr(freepairs, "evaporation_sweep", lambda *args, seed: report)
     assert suite.evaporation(NAMES) == (report, False)  # vacuous
     report.notes["nonzero_pairs"] = 4
     assert suite.evaporation(NAMES) == (report, True)
