@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import ne
 from typing import Callable, NamedTuple
 
@@ -141,6 +141,19 @@ class FinAlgebra:
     ops: tuple
     join: tuple
     top: int | None = None
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Memo tables key on algebras: hash the op tables once, not per lookup.
+        return hash((self.size, self.ops, self.join, self.top))
+
+    @cached_property
+    def con_index(self) -> ConIndex:
+        """The congruences of this algebra as bitmasks (see ConIndex)."""
+        return ConIndex(self)
 
     def join_of(self, a: int, b: int) -> int:
         return self.join[a * self.size + b]
@@ -368,6 +381,42 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     )
 
 
+class ConIndex:
+    """Every congruence of an algebra as a bitmask over J(Con A).
+
+    ``jmask[i]`` sets bit g when J[g] lies below ``cons[i]``.  So a ≤ b
+    exactly when jmask[a] is a subset of jmask[b], and jmask[a] & jmask[b]
+    is the mask of a ∧ b.  ``pmask[x * n + y]`` is the mask of Θ(x, y).
+    """
+
+    def __init__(self, L: FinAlgebra):
+        cons = self.cons = all_congruences(L)
+        self.jmask = tuple(
+            sum(1 << g for g, col in enumerate(cons.succ) if col[i] == i)
+            for i in range(len(cons))
+        )
+        self.by_mask = {m: i for i, m in enumerate(self.jmask)}
+        mask_of = dict(zip(cons, self.jmask))
+        n = L.size
+        pmask = [0] * (n * n)
+        for x, y in itertools.combinations(range(n), 2):
+            pmask[x * n + y] = pmask[y * n + x] = mask_of[theta(L, x, y)]
+        self.pmask = tuple(pmask)
+
+    def join(self, m: int) -> int:
+        """The index of the join of the join-irreducibles that m sets: the
+        congruence whose mask is m if there is one (always, when Con A is
+        distributive), else the fold of ``succ`` over m's bits from the
+        identity congruence, which is sorted last."""
+        i = self.by_mask.get(m)
+        if i is None:
+            i = len(self.cons) - 1
+            for g, col in enumerate(self.cons.succ):
+                if m >> g & 1:
+                    i = col[i]
+        return i
+
+
 @lru_cache(maxsize=None)
 def check_congruence_compatible(L: FinAlgebra) -> bool:
     """Whether every congruence of L is compatible with the designated join."""
@@ -421,7 +470,8 @@ def conc(L: FinAlgebra) -> ConcResult:
     join.  It is a semilattice by construction, so it skips
     ``semilattice()``'s recheck.
     """
-    cons = all_congruences(L)
+    ix = L.con_index
+    cons = ix.cons
     k = len(cons)
     rows = []
     for b in range(k):
@@ -431,13 +481,9 @@ def conc(L: FinAlgebra) -> ConcResult:
                 row = map(col.__getitem__, row)
         rows.append(row)
     table = tuple(itertools.chain.from_iterable(rows))
-    index = {c: i for i, c in enumerate(cons)}
-    sem = SemilatticeTable(k, table, index[identity_congruence(L.size)])
-    pair_index = {}
-    for x in range(L.size):
-        for y in range(L.size):
-            pair_index[x, y] = pair_index[y, x] if y < x else index[theta(L, x, y)]
-    return ConcResult(sem, cons, pair_index)
+    pairs = itertools.product(range(L.size), repeat=2)
+    pair_index = dict(zip(pairs, map(ix.by_mask.__getitem__, ix.pmask)))
+    return ConcResult(SemilatticeTable(k, table, k - 1), cons, pair_index)
 
 
 def is_distributive(S: SemilatticeTable) -> bool:
@@ -603,7 +649,7 @@ def epsilon(n: int) -> int:
 @lru_cache(maxsize=None)
 def conc_sub(L: FinAlgebra, U: frozenset) -> frozenset:
     """The subsemilattice of Conc L generated by principal congruences
-    over pairs from U."""
+    over pairs from U: the tests' oracle for erosion's membership check."""
     gens = [identity_congruence(L.size)]
     gens += [theta(L, u, v) for u in U for v in U if u <= v]
     return join_closure(gens, part_join)
@@ -641,38 +687,37 @@ def erosion(L: FinAlgebra, x0: int, x1: int, zs) -> ErosionResult:
     if not L.leq(prefix, zs[n]):
         raise freedist.DomainError("join of leading entries must lie below the last")
 
+    # Every check is on masks over J(Con A) (see ConIndex): b ≤ c is
+    # jmask[b] ⊆ jmask[c], and a join is read off the union of the masks.
+    ix = L.con_index
+    jmask, pmask, join, size = ix.jmask, ix.pmask, L.join, L.size
     x = (x0, x1)
-    ident = identity_congruence(L.size)
-    # theta memoizes each unordered pair under its smaller index first
-    v = []
-    for i in range(n):
-        p = L.join_of(zs[i], x[epsilon(i)])
-        q = L.join_of(zs[i + 1], x[epsilon(i)])
-        v.append(theta(L, p, q) if p <= q else theta(L, q, p))
-    u = []
-    a = []
+    u, bounded, member = [], [], []
     for j in (0, 1):
-        uj = ident
-        aj = ident
-        for i in range(n):
-            if epsilon(i) == j:
-                uj = part_join(uj, v[i])
-                p, q = zs[i], zs[i + 1]
-                aj = part_join(aj, theta(L, p, q) if p <= q else theta(L, q, p))
-        u.append(uj)
-        a.append(aj)
+        row = x[j] * size
+        vj = aj = 0
+        for i in range(j, n, 2):  # the i with epsilon(i) == j
+            vj |= pmask[join[row + zs[i]] * size + join[row + zs[i + 1]]]
+            aj |= pmask[zs[i] * size + zs[i + 1]]
+        u.append(ix.join(vj))
+        uj = jmask[u[j]]
+        # Θ⁺(z_n, x_j) = Θ(x_j, z_n ∨ x_j)
+        bound = jmask[ix.join(aj)] & pmask[row + join[row + zs[n]]]
+        bounded.append(uj & ~bound == 0)
+        # u_j is a join of generators exactly when it is the join of those
+        # below it, the empty join being the identity congruence.
+        below = 0
+        for p, q in itertools.combinations({join[row + z] for z in zs}, 2):
+            if pmask[p * size + q] & ~uj == 0:
+                below |= pmask[p * size + q]
+        member.append(ix.join(below) == u[j])
 
     lhs = L.join_of(L.join_of(zs[0], x0), x1)
     rhs = L.join_of(L.join_of(zs[n], x0), x1)
-    congruent = part_join(u[0], u[1]).relates(lhs, rhs)
-    bounded = tuple(
-        refines(u[j], part_meet(a[j], theta_plus(L, zs[n], x[j]))) for j in (0, 1)
-    )
-    member = tuple(
-        u[j] in conc_sub(L, frozenset(L.join_of(x[j], z) for z in zs))
-        for j in (0, 1)
-    )
-    return ErosionResult(u[0], u[1], congruent, bounded, member)
+    both = jmask[ix.join(jmask[u[0]] | jmask[u[1]])]
+    congruent = pmask[lhs * size + rhs] & ~both == 0
+    cons = ix.cons
+    return ErosionResult(cons[u[0]], cons[u[1]], congruent, tuple(bounded), tuple(member))
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,7 @@ def test_algebra_format_roundtrip():
     for name, L in corpus.bundled_corpus():
         text = format_algebra(L)
         assert parse_algebra(text) == L
+        assert hash(parse_algebra(text)) == hash(L)
 
 
 def test_algebra_format_inline_join():
@@ -627,3 +628,110 @@ def test_conc_output_matches_golden(capsys, tmp_path):
         assert main(["con", str(path), "conc"]) == 0
         out.append(f"== {name}\n" + capsys.readouterr().out)
     assert "".join(out) == CONC_GOLDEN.read_text()
+
+
+# -- the congruence index and erosion against their partition oracles --------
+
+
+def join_only_algebras():
+    """Each corpus lattice with its join as the only basic operation.  More
+    partitions are congruences, and Con A is not always distributive, so
+    ConIndex.join must fold ``succ`` where a mask union is no congruence."""
+    return [
+        (f"{name}-join", fin_algebra(L.size, [("join", 2, L.join)], L.join, top=L.top))
+        for name, L in corpus.bundled_corpus()
+    ]
+
+
+def test_join_only_algebras_include_nondistributive_con():
+    algebras = join_only_algebras()
+    flat = [name for name, L in algebras if not is_distributive(conc(L).table)]
+    assert len(algebras) == 21 and len(flat) == 15
+
+
+def test_con_index_matches_the_partition_operations():
+    for name, L in corpus_and_products() + join_only_algebras():
+        ix = L.con_index
+        cons = ix.cons
+        assert ix.cons is all_congruences(L)
+        for i, c1 in enumerate(cons):
+            for k, c2 in enumerate(cons):
+                m1, m2 = ix.jmask[i], ix.jmask[k]
+                assert (m1 & m2 == m1) == refines(c1, c2), name
+                assert cons[ix.join(m1 | m2)] == part_join(c1, c2), name
+                assert m1 & m2 == ix.jmask[cons.index(part_meet(c1, c2))], name
+        for x in range(L.size):
+            for y in range(L.size):
+                expected = ix.jmask[cons.index(theta(L, x, y))]
+                assert ix.pmask[x * L.size + y] == expected, (name, x, y)
+
+
+def erosion_oracle(L, x0, x1, zs):
+    """erosion as it was computed on partitions, with part_join, part_meet,
+    refines and conc_sub: the reference for the mask computation."""
+    zs = list(zs)
+    n = len(zs) - 1
+    x = (x0, x1)
+    ident = identity_congruence(L.size)
+    v = []
+    for i in range(n):
+        p = L.join_of(zs[i], x[epsilon(i)])
+        q = L.join_of(zs[i + 1], x[epsilon(i)])
+        v.append(theta(L, p, q))
+    u = []
+    a = []
+    for j in (0, 1):
+        uj = ident
+        aj = ident
+        for i in range(n):
+            if epsilon(i) == j:
+                uj = part_join(uj, v[i])
+                aj = part_join(aj, theta(L, zs[i], zs[i + 1]))
+        u.append(uj)
+        a.append(aj)
+    lhs = L.join_of(L.join_of(zs[0], x0), x1)
+    rhs = L.join_of(L.join_of(zs[n], x0), x1)
+    congruent = part_join(u[0], u[1]).relates(lhs, rhs)
+    bounded = tuple(
+        refines(u[j], part_meet(a[j], theta_plus(L, zs[n], x[j]))) for j in (0, 1)
+    )
+    member = tuple(
+        u[j] in conlat.conc_sub(L, frozenset(L.join_of(x[j], z) for z in zs))
+        for j in (0, 1)
+    )
+    return conlat.ErosionResult(u[0], u[1], congruent, bounded, member)
+
+
+def checked_against_oracle(name, L, instances):
+    """Assert erosion == erosion_oracle on every instance; return how many."""
+    count = 0
+    for x0, x1, zs in instances:
+        assert erosion(L, x0, x1, zs) == erosion_oracle(L, x0, x1, zs), (name, x0, x1, zs)
+        count += 1
+    return count
+
+
+def test_erosion_matches_oracle_on_small_corpus_lattices():
+    from slat.suite import erosion_domain
+
+    small = [(name, L) for name, L in corpus.bundled_corpus() if L.size <= 5]
+    checked = sum(checked_against_oracle(name, L, erosion_domain(L)) for name, L in small)
+    assert checked == 7016
+
+
+def test_erosion_matches_oracle_on_join_only_algebras():
+    from slat.suite import erosion_domain
+
+    algebras = join_only_algebras()
+    checked = sum(checked_against_oracle(name, L, erosion_domain(L)) for name, L in algebras)
+    assert checked == 52808
+
+
+def test_erosion_matches_oracle_on_six_element_lattices():
+    from slat.suite import erosion_domain
+
+    rng = random.Random("conlat:erosion-oracle:six")
+    for name, L in corpus.bundled_corpus():
+        if L.size == 6:
+            sample = rng.sample(list(erosion_domain(L)), 1000)
+            assert checked_against_oracle(name, L, sample) == 1000
