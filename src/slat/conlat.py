@@ -80,10 +80,6 @@ def identity_congruence(size: int) -> Congruence:
     return Congruence(tuple(range(size)))
 
 
-def full_congruence(size: int) -> Congruence:
-    return Congruence((0,) * size)
-
-
 @lru_cache(maxsize=None)
 def part_join(c1: Congruence, c2: Congruence) -> Congruence:
     parent = list(range(c1.size))
@@ -151,9 +147,15 @@ class FinAlgebra:
         return hash((self.size, self.ops, self.join, self.top))
 
     @cached_property
-    def con_index(self) -> ConIndex:
-        """The congruences of this algebra as bitmasks (see ConIndex)."""
-        return ConIndex(self)
+    def con_index(self) -> Congruences:
+        """Con A of this algebra, built once (see Congruences)."""
+        return all_congruences(self)
+
+    @cached_property
+    def join_name(self) -> str | None:
+        """The basic binary operation whose table is the designated join, if any."""
+        ops = (op.name for op in self.ops if op.arity == 2 and op.table == self.join)
+        return next(ops, None)
 
     def join_of(self, a: int, b: int) -> int:
         return self.join[a * self.size + b]
@@ -303,12 +305,6 @@ def theta(L: FinAlgebra, x: int, y: int) -> Congruence:
     return congruence_from_blockof(block)
 
 
-def theta_plus(L: FinAlgebra, x: int, y: int) -> Congruence:
-    """Least congruence collapsing y with x v y."""
-    z = L.join_of(x, y)
-    return theta(L, y, z) if y <= z else theta(L, z, y)
-
-
 def join_closure(gens, join) -> frozenset:
     """The closure of gens under the binary operation join.
 
@@ -323,24 +319,48 @@ def join_closure(gens, join) -> frozenset:
     return frozenset(found)
 
 
-class Congruences(tuple):
-    """Every congruence of an algebra, sorted by ``block_of``.
+class Congruences:
+    """Con A of one algebra: every congruence, sorted by ``block_of``, and
+    each one as a bitmask over J(Con A), the join-irreducible congruences.
 
-    ``succ[g][i]`` is the index of ``self[i] v J[g]``, where J lists the
-    join-irreducible congruences.  So J[g] lies below self[i] exactly
-    when ``succ[g][i] == i``, and J[g] itself is ``self[succ[g][-1]]``,
-    the identity congruence being last.
+    ``succ[g][i]`` is the index of ``cons[i] v J[g]``; the identity
+    congruence is last.  ``jmask[i]`` sets bit g when J[g] lies below
+    ``cons[i]``, that is when ``succ[g][i] == i``.  So a ≤ b exactly when
+    jmask[a] is a subset of jmask[b], and jmask[a] & jmask[b] is the mask
+    of a ∧ b.  ``by_mask`` inverts ``jmask``, and ``pmask[x * n + y]`` is
+    the mask of Θ(x, y).
     """
 
-    def __new__(cls, cons, succ):
-        self = super().__new__(cls, cons)
+    def __init__(self, cons: tuple, succ: tuple, principal: list):
+        self.cons = cons
         self.succ = succ
-        return self
+        self.jmask = tuple(
+            sum(1 << g for g, col in enumerate(succ) if col[i] == i)
+            for i in range(len(cons))
+        )
+        self.by_mask = {m: i for i, m in enumerate(self.jmask)}
+        self.pmask = tuple(self.jmask[i] for i in principal)
+
+    def __len__(self) -> int:
+        return len(self.cons)
+
+    def join(self, m: int) -> int:
+        """The index of the join of the join-irreducibles that m sets: the
+        congruence whose mask is m if there is one (always, when Con A is
+        distributive), else the fold of ``succ`` over m's bits from the
+        identity congruence."""
+        i = self.by_mask.get(m)
+        if i is None:
+            i = len(self.cons) - 1
+            for g, col in enumerate(self.succ):
+                if m >> g & 1:
+                    i = col[i]
+        return i
 
 
 @lru_cache(maxsize=None)
 def all_congruences(L: FinAlgebra) -> Congruences:
-    """Every congruence of L, with its joins with the join-irreducibles.
+    """Con L, from the one sweep of Θ over the pairs of L.
 
     Every congruence of a finite algebra is a join of principal ones.
     They are taken finest first (a strictly finer partition has strictly
@@ -351,13 +371,12 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     those of c joined with g, read from the same step.
     """
     n = L.size
-    principal = dict.fromkeys(
-        theta(L, x, y) for x in range(n) for y in range(x + 1, n)
-    )
+    pairs = list(itertools.combinations(range(n), 2))
+    thetas = [theta(L, x, y) for x, y in pairs]
     cons = [identity_congruence(n)]
     index = {cons[0]: 0}
     succ = []
-    for g in sorted(principal, key=lambda c: -max(c.block_of)):
+    for g in sorted(dict.fromkeys(thetas), key=lambda c: -max(c.block_of)):
         if g in index:
             continue
         old = len(cons)
@@ -375,52 +394,23 @@ def all_congruences(L: FinAlgebra) -> Congruences:
         succ.append(step + list(range(old, len(cons))))
     order = sorted(range(len(cons)), key=lambda i: cons[i].block_of)
     rank = {i: r for r, i in enumerate(order)}
+    principal = [rank[0]] * (n * n)
+    for (x, y), c in zip(pairs, thetas):
+        principal[x * n + y] = principal[y * n + x] = rank[index[c]]
     return Congruences(
-        (cons[i] for i in order),
+        tuple(cons[i] for i in order),
         tuple(tuple(rank[col[i]] for i in order) for col in succ),
+        principal,
     )
-
-
-class ConIndex:
-    """Every congruence of an algebra as a bitmask over J(Con A).
-
-    ``jmask[i]`` sets bit g when J[g] lies below ``cons[i]``.  So a ≤ b
-    exactly when jmask[a] is a subset of jmask[b], and jmask[a] & jmask[b]
-    is the mask of a ∧ b.  ``pmask[x * n + y]`` is the mask of Θ(x, y).
-    """
-
-    def __init__(self, L: FinAlgebra):
-        cons = self.cons = all_congruences(L)
-        self.jmask = tuple(
-            sum(1 << g for g, col in enumerate(cons.succ) if col[i] == i)
-            for i in range(len(cons))
-        )
-        self.by_mask = {m: i for i, m in enumerate(self.jmask)}
-        mask_of = dict(zip(cons, self.jmask))
-        n = L.size
-        pmask = [0] * (n * n)
-        for x, y in itertools.combinations(range(n), 2):
-            pmask[x * n + y] = pmask[y * n + x] = mask_of[theta(L, x, y)]
-        self.pmask = tuple(pmask)
-
-    def join(self, m: int) -> int:
-        """The index of the join of the join-irreducibles that m sets: the
-        congruence whose mask is m if there is one (always, when Con A is
-        distributive), else the fold of ``succ`` over m's bits from the
-        identity congruence, which is sorted last."""
-        i = self.by_mask.get(m)
-        if i is None:
-            i = len(self.cons) - 1
-            for g, col in enumerate(self.cons.succ):
-                if m >> g & 1:
-                    i = col[i]
-        return i
 
 
 @lru_cache(maxsize=None)
 def check_congruence_compatible(L: FinAlgebra) -> bool:
-    """Whether every congruence of L is compatible with the designated join."""
-    return all(is_compatible(L, c, table=L.join) for c in all_congruences(L))
+    """Whether every congruence of L is compatible with the designated join:
+    true by definition when the join is a basic operation."""
+    if L.join_name is not None:
+        return True
+    return all(is_compatible(L, c, table=L.join) for c in all_congruences(L).cons)
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +460,19 @@ def conc(L: FinAlgebra) -> ConcResult:
     join.  It is a semilattice by construction, so it skips
     ``semilattice()``'s recheck.
     """
-    ix = L.con_index
-    cons = ix.cons
-    k = len(cons)
+    con = L.con_index
+    k = len(con)
     rows = []
     for b in range(k):
         row = range(k)
-        for col in cons.succ:
+        for col in con.succ:
             if col[b] == b:
                 row = map(col.__getitem__, row)
         rows.append(row)
     table = tuple(itertools.chain.from_iterable(rows))
     pairs = itertools.product(range(L.size), repeat=2)
-    pair_index = dict(zip(pairs, map(ix.by_mask.__getitem__, ix.pmask)))
-    return ConcResult(SemilatticeTable(k, table, k - 1), cons, pair_index)
+    pair_index = dict(zip(pairs, map(con.by_mask.__getitem__, con.pmask)))
+    return ConcResult(SemilatticeTable(k, table, k - 1), con.cons, pair_index)
 
 
 def is_distributive(S: SemilatticeTable) -> bool:
@@ -553,10 +542,6 @@ def weakly_distributive_at(mu: SemHom, x: int) -> bool:
     return True
 
 
-def is_weakly_distributive(mu: SemHom) -> bool:
-    return all(weakly_distributive_at(mu, x) for x in range(mu.dom.size))
-
-
 # ---------------------------------------------------------------------------
 # Quotients and permutability
 
@@ -623,7 +608,7 @@ def permutability(L: FinAlgebra, m: int) -> bool:
     relational composition."""
     if m < 1:
         raise ValueError("m must be positive")
-    cons = all_congruences(L)
+    cons = all_congruences(L).cons
     for a in cons:
         ra = _relation_masks(a)
         for b in cons:
@@ -687,10 +672,10 @@ def erosion(L: FinAlgebra, x0: int, x1: int, zs) -> ErosionResult:
     if not L.leq(prefix, zs[n]):
         raise freedist.DomainError("join of leading entries must lie below the last")
 
-    # Every check is on masks over J(Con A) (see ConIndex): b ≤ c is
+    # Every check is on masks over J(Con A) (see Congruences): b ≤ c is
     # jmask[b] ⊆ jmask[c], and a join is read off the union of the masks.
-    ix = L.con_index
-    jmask, pmask, join, size = ix.jmask, ix.pmask, L.join, L.size
+    con = L.con_index
+    jmask, pmask, join, size = con.jmask, con.pmask, L.join, L.size
     x = (x0, x1)
     u, bounded, member = [], [], []
     for j in (0, 1):
@@ -699,10 +684,10 @@ def erosion(L: FinAlgebra, x0: int, x1: int, zs) -> ErosionResult:
         for i in range(j, n, 2):  # the i with epsilon(i) == j
             vj |= pmask[join[row + zs[i]] * size + join[row + zs[i + 1]]]
             aj |= pmask[zs[i] * size + zs[i + 1]]
-        u.append(ix.join(vj))
+        u.append(con.join(vj))
         uj = jmask[u[j]]
         # Θ⁺(z_n, x_j) = Θ(x_j, z_n ∨ x_j)
-        bound = jmask[ix.join(aj)] & pmask[row + join[row + zs[n]]]
+        bound = jmask[con.join(aj)] & pmask[row + join[row + zs[n]]]
         bounded.append(uj & ~bound == 0)
         # u_j is a join of generators exactly when it is the join of those
         # below it, the empty join being the identity congruence.
@@ -710,13 +695,13 @@ def erosion(L: FinAlgebra, x0: int, x1: int, zs) -> ErosionResult:
         for p, q in itertools.combinations({join[row + z] for z in zs}, 2):
             if pmask[p * size + q] & ~uj == 0:
                 below |= pmask[p * size + q]
-        member.append(ix.join(below) == u[j])
+        member.append(con.join(below) == u[j])
 
     lhs = L.join_of(L.join_of(zs[0], x0), x1)
     rhs = L.join_of(L.join_of(zs[n], x0), x1)
-    both = jmask[ix.join(jmask[u[0]] | jmask[u[1]])]
+    both = jmask[con.join(jmask[u[0]] | jmask[u[1]])]
     congruent = pmask[lhs * size + rhs] & ~both == 0
-    cons = ix.cons
+    cons = con.cons
     return ErosionResult(cons[u[0]], cons[u[1]], congruent, tuple(bounded), tuple(member))
 
 
@@ -880,12 +865,8 @@ def format_algebra(L: FinAlgebra) -> str:
         lines.append(
             f"op {op.name} {op.arity} " + " ".join(str(t) for t in op.table)
         )
-    named = next(
-        (op.name for op in L.ops if op.arity == 2 and op.table == L.join),
-        None,
-    )
-    if named is not None:
-        lines.append(f"join {named}")
+    if L.join_name is not None:
+        lines.append(f"join {L.join_name}")
     else:
         lines.append("join " + " ".join(str(t) for t in L.join))
     if L.top is not None:

@@ -130,11 +130,11 @@ def validate_instance(D: DescentInstance) -> Report:
         "; ".join(bad_mu),
     )
 
-    result = conlat.conc(L)
+    cons = L.con_index.cons
     hom_ok = True
     witness = ""
-    for c1 in result.congruences:
-        for c2 in result.congruences:
+    for c1 in cons:
+        for c2 in cons:
             lhs = D.mu_hat(conlat.part_join(c1, c2))
             rhs = freepairs.join(D.mu_hat(c1), D.mu_hat(c2))
             if lhs != rhs:
@@ -169,7 +169,7 @@ def validate_instance(D: DescentInstance) -> Report:
 
     separated = all(
         D.mu_hat(c) != freepairs.ZERO
-        for c in result.congruences
+        for c in cons
         if c != conlat.identity_congruence(L.size)
     )
     rep.add("mu-separates-zero", separated)
@@ -233,28 +233,6 @@ def check_p(D: DescentInstance, k: int, l: int) -> PReport:
     return rep
 
 
-def s_of(D: DescentInstance, X) -> frozenset:
-    """Join-closure of the chain entries over the names in X."""
-    gens = {
-        D.z_at(r, i, xi)
-        for r in range(D.m)
-        for i in range(D.n + 1)
-        for xi in X
-    }
-    return conlat.join_closure(gens, D.algebra.join_of)
-
-
-def phi_from_instance(D: DescentInstance, X) -> frozenset:
-    """Union of supports of mu over all principal congruences of the
-    join-subsemilattice generated by the chain entries over X."""
-    S = sorted(s_of(D, X))
-    out = set()
-    for x in S:
-        for y in S:
-            out |= freepairs.support(D.mu_theta(x, y))
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # File format
 
@@ -314,18 +292,6 @@ def parse_instance(text: str) -> DescentInstance:
     if not set(u_names) <= set(omega):
         raise FormatError("U mentions names outside the z lines")
     return DescentInstance(L, omega, t, z, mu, tuple(mu_lines), u_names)
-
-
-def format_instance(D: DescentInstance) -> str:
-    lines = [conlat.format_algebra(D.algebra).rstrip("\n")]
-    for r, value in enumerate(D.t):
-        lines.append(f"t {r} {value}")
-    for (r, i, xi) in sorted(D.z):
-        lines.append(f"z {r} {i} {xi} {D.z[(r, i, xi)]}")
-    for x, y, value in D.mu_lines:
-        lines.append(f"mu {x} {y} {expr.to_expr(value)}")
-    lines.append("U " + " ".join(D.u_set))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

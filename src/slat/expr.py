@@ -194,27 +194,6 @@ def parse_eval(text: str):
     return evaluate(parse(text))
 
 
-def to_expr(v) -> str:
-    """An expression that evaluates back to v exactly.
-
-    Rebuilds v from its projection and per-triple splitting elements.
-    """
-    if v == freepairs.ZERO:
-        return "0"
-    if v == freepairs.ONE:
-        return "1"
-    if not isinstance(v, freedist.Node):
-        parts = [f"a0({n})" for n in sorted(v.pos)]
-        parts += [f"a1({n})" for n in sorted(v.neg)]
-        return parts[0] if len(parts) == 1 else "join(%s)" % ",".join(parts)
-    parts = [] if v.proj == freepairs.ZERO else [to_expr(v.proj)]
-    parts += [
-        f"bowtie({to_expr(t.u)},{to_expr(t.v)},{to_expr(t.w)})"
-        for t in v.triples
-    ]
-    return parts[0] if len(parts) == 1 else "join(%s)" % ",".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # Canonical values
 

@@ -122,11 +122,6 @@ def rank(x) -> int:
     return 1 + max(rank(p) for p in parts)
 
 
-def proj(x):
-    """Canonical projection one rank down; the identity on base values."""
-    return x.proj if isinstance(x, Node) else x
-
-
 @lru_cache(maxsize=None)
 def serialize(base, x) -> str:
     if not isinstance(x, Node):
@@ -147,11 +142,6 @@ def make_node(base, projection, triples):
     if not ts:
         return projection
     return Node(projection, tuple(ts))
-
-
-def triples_of(x) -> tuple:
-    """The full triple set of x at its own rank, diagonal included."""
-    return _lift(x, rank(x))
 
 
 @lru_cache(maxsize=None)
@@ -291,11 +281,6 @@ def bowtie(base, a, b, c):
     if a == zero:
         return zero
     return Node(zero, (Triple(a, b, c),))
-
-
-def distributivity_witness(base, a, b, c):
-    """For c <= a v b: (x, y) with x <= a, y <= b, x v y = c; else DomainError."""
-    return bowtie(base, a, b, c), bowtie(base, b, a, c)
 
 
 def map_elem(dst, f, x):

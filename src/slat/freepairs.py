@@ -63,11 +63,6 @@ def support(x) -> frozenset:
     return frozenset(out)
 
 
-def in_g(x, names) -> bool:
-    """Whether x lies in the subsemilattice generated over the names."""
-    return support(x) <= frozenset(names)
-
-
 def retract(alpha: str, i: int, x):
     """Extension of the pair retraction killing gen(i, alpha)."""
     return freedist.map_elem(BASE, lambda p: pairs.retract(alpha, i, p), x)

@@ -97,14 +97,3 @@ def parse_phi(text: str) -> PhiMap:
         if not key <= gset or not val <= gset:
             raise FormatError("phi line mentions elements outside the ground set")
     return phi
-
-
-def format_phi(phi: PhiMap) -> str:
-    lines = ["ground " + " ".join(phi.ground), f"arity {phi.arity}"]
-    for key in sorted(phi.images, key=lambda s: sorted(s)):
-        val = phi.images[key]
-        lines.append(
-            "phi {%s} -> {%s}"
-            % (",".join(sorted(key)), ",".join(sorted(val)))
-        )
-    return "\n".join(lines) + "\n"

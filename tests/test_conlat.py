@@ -16,7 +16,6 @@ from slat.conlat import (
     epsilon,
     erosion,
     fin_algebra,
-    full_congruence,
     identity_congruence,
     is_compatible,
     is_distributive,
@@ -32,7 +31,6 @@ from slat.conlat import (
     sem_hom,
     semilattice,
     theta,
-    theta_plus,
     weakly_distributive_at,
 )
 from slat.freedist import DomainError
@@ -57,7 +55,7 @@ def test_congruence_canonical_form():
 def test_partition_lattice_ops():
     a = congruence_from_blocks(3, [(0, 1), (2,)])
     b = congruence_from_blocks(3, [(0,), (1, 2)])
-    assert part_join(a, b) == full_congruence(3)
+    assert part_join(a, b) == congruence_from_blocks(3, [(0, 1, 2)])
     assert part_meet(a, b) == identity_congruence(3)
     assert refines(identity_congruence(3), a)
     assert not refines(a, b)
@@ -79,7 +77,7 @@ def test_theta_reflexive_pair():
 
 def test_theta_two_chain():
     L = corpus.chain(2)
-    assert theta(L, 0, 1) == full_congruence(2)
+    assert theta(L, 0, 1) == congruence_from_blocks(2, [(0, 1)])
 
 
 def test_theta_n5_frozen():
@@ -186,21 +184,22 @@ def test_theta_with_a_noncommutative_op():
 
 
 def test_theta_plus():
+    # Θ⁺(x, y), the least congruence collapsing y with x v y, is
+    # theta(L, y, x v y); theta orders its pair itself.
     L = corpus.chain(3)
-    assert theta_plus(L, 0, 2) == identity_congruence(3)  # x <= y
+    assert theta(L, 2, L.join_of(0, 2)) == identity_congruence(3)  # x <= y
     L2 = corpus.chain(2)
-    assert theta_plus(L2, 1, 0) == theta(L2, 0, 1)
+    assert theta(L2, 0, L2.join_of(1, 0)) == theta(L2, 0, 1)
 
 
 def test_theta_plus_triangle_inequality():
     for name in ("n5", "m3", "2x3", "hexagon"):
         L = dict(corpus.bundled_corpus())[name]
+        plus = lambda x, y: theta(L, y, L.join_of(x, y))
         for x in range(L.size):
             for y in range(L.size):
                 for z in range(L.size):
-                    lhs = theta_plus(L, x, z)
-                    rhs = part_join(theta_plus(L, x, y), theta_plus(L, y, z))
-                    assert refines(lhs, rhs)
+                    assert refines(plus(x, z), part_join(plus(x, y), plus(y, z)))
 
 
 # -- congruence lattices ------------------------------------------------------
@@ -251,6 +250,18 @@ def test_cached_compatibility_still_rejects():
     assert check_congruence_compatible.cache_info().hits >= 3
 
 
+def test_compatibility_short_circuit_matches_the_full_check():
+    # When the designated join is a basic operation, every congruence
+    # respects it by definition; is_compatible is the oracle.
+    algebras = corpus_and_products() + join_only_algebras()
+    assert len(algebras) == 21 + 7 + 21
+    for name, L in algebras:
+        assert L.join_name is not None, name
+        full = all(is_compatible(L, c, table=L.join) for c in all_congruences(L).cons)
+        assert full and check_congruence_compatible(L), name
+    assert bare_chain(3).join_name is None
+
+
 def test_is_compatible_specific():
     L = bare_chain(3)
     skip_mid = congruence_from_blocks(3, [(0, 2), (1,)])
@@ -299,7 +310,6 @@ def test_weak_distributivity():
     mu = sem_hom(two, m3, [0, 4])
     assert weakly_distributive_at(mu, 0)
     assert not weakly_distributive_at(mu, 1)
-    assert not conlat.is_weakly_distributive(mu)
 
 
 def test_weak_distributivity_oracle_agreement():
@@ -322,7 +332,7 @@ def test_quotient_identity_and_full():
     L = corpus.n5()
     Q, proj = quotient(L, identity_congruence(5))
     assert Q.size == 5 and proj == (0, 1, 2, 3, 4)
-    Q, proj = quotient(L, full_congruence(5))
+    Q, proj = quotient(L, congruence_from_blocks(5, [range(5)]))
     assert Q.size == 1
 
 
@@ -581,7 +591,7 @@ def principal_closure(L):
 
 def test_all_congruences_matches_the_principal_closure():
     for name, L in oracle_algebras():
-        assert all_congruences(L) == principal_closure(L), name
+        assert all_congruences(L).cons == principal_closure(L), name
     bare = [len(all_congruences(bare_chain(n))) for n in (3, 4, 5)]
     assert bare == [5, 15, 52]
     assert not is_distributive(conc(bare_chain(3)).table)
@@ -636,7 +646,7 @@ def test_conc_output_matches_golden(capsys, tmp_path):
 def join_only_algebras():
     """Each corpus lattice with its join as the only basic operation.  More
     partitions are congruences, and Con A is not always distributive, so
-    ConIndex.join must fold ``succ`` where a mask union is no congruence."""
+    Congruences.join must fold ``succ`` where a mask union is no congruence."""
     return [
         (f"{name}-join", fin_algebra(L.size, [("join", 2, L.join)], L.join, top=L.top))
         for name, L in corpus.bundled_corpus()
@@ -651,19 +661,32 @@ def test_join_only_algebras_include_nondistributive_con():
 
 def test_con_index_matches_the_partition_operations():
     for name, L in corpus_and_products() + join_only_algebras():
-        ix = L.con_index
-        cons = ix.cons
-        assert ix.cons is all_congruences(L)
+        con = L.con_index
+        assert con is all_congruences(L)
+        cons = con.cons
+        assert len(con) == len(cons)
         for i, c1 in enumerate(cons):
             for k, c2 in enumerate(cons):
-                m1, m2 = ix.jmask[i], ix.jmask[k]
+                m1, m2 = con.jmask[i], con.jmask[k]
                 assert (m1 & m2 == m1) == refines(c1, c2), name
-                assert cons[ix.join(m1 | m2)] == part_join(c1, c2), name
-                assert m1 & m2 == ix.jmask[cons.index(part_meet(c1, c2))], name
+                assert cons[con.join(m1 | m2)] == part_join(c1, c2), name
+                assert m1 & m2 == con.jmask[cons.index(part_meet(c1, c2))], name
         for x in range(L.size):
             for y in range(L.size):
-                expected = ix.jmask[cons.index(theta(L, x, y))]
-                assert ix.pmask[x * L.size + y] == expected, (name, x, y)
+                expected = con.jmask[cons.index(theta(L, x, y))]
+                assert con.pmask[x * L.size + y] == expected, (name, x, y)
+
+
+def test_con_index_sweeps_theta_once():
+    # pmask comes from all_congruences' own sweep of Θ: building Con A
+    # closes each unordered pair once and looks none of them up again.
+    named = dict(corpus.bundled_corpus())
+    L = corpus.product(named["chain3"], named["n5"])
+    theta.cache_clear()
+    all_congruences.cache_clear()
+    L.con_index
+    n = L.size
+    assert theta.cache_info()[:2] == (0, n * (n - 1) // 2)  # (hits, misses)
 
 
 def erosion_oracle(L, x0, x1, zs):
@@ -693,7 +716,8 @@ def erosion_oracle(L, x0, x1, zs):
     rhs = L.join_of(L.join_of(zs[n], x0), x1)
     congruent = part_join(u[0], u[1]).relates(lhs, rhs)
     bounded = tuple(
-        refines(u[j], part_meet(a[j], theta_plus(L, zs[n], x[j]))) for j in (0, 1)
+        refines(u[j], part_meet(a[j], theta(L, x[j], L.join_of(zs[n], x[j]))))
+        for j in (0, 1)
     )
     member = tuple(
         u[j] in conlat.conc_sub(L, frozenset(L.join_of(x[j], z) for z in zs))

@@ -10,13 +10,32 @@ from slat.descent import (
     check_er,
     check_p,
     fixture,
-    format_instance,
     mutation_detected,
     parse_instance,
-    phi_from_instance,
-    s_of,
     validate_instance,
 )
+
+
+def s_of(D, X) -> frozenset:
+    """Join-closure of the chain entries over the names in X."""
+    gens = {
+        D.z_at(r, i, xi)
+        for r in range(D.m)
+        for i in range(D.n + 1)
+        for xi in X
+    }
+    return conlat.join_closure(gens, D.algebra.join_of)
+
+
+def phi_from_instance(D, X) -> frozenset:
+    """Union of supports of mu over all principal congruences of the
+    join-subsemilattice generated by the chain entries over X."""
+    S = sorted(s_of(D, X))
+    out = set()
+    for x in S:
+        for y in S:
+            out |= freepairs.support(D.mu_theta(x, y))
+    return frozenset(out)
 
 
 def test_fixture_validates():
@@ -43,6 +62,8 @@ def test_fixture_dimensions():
     assert D.n == 2
     assert D.omega == ("u",)
     assert D.t == (0,)
+    assert D.u_set == ("u",)
+    assert D.z[(0, 2, "u")] == 3
 
 
 def test_mu_extension():
@@ -151,16 +172,6 @@ def test_specific_mutation_findings():
     D = parse_instance(by_name["top-line-dropped"].apply(FIXTURE))
     rep = validate_instance(D)
     assert "algebra-has-top" in rep.failed()
-
-
-def test_format_roundtrip():
-    D = fixture()
-    again = parse_instance(format_instance(D))
-    assert again.algebra == D.algebra
-    assert again.t == D.t
-    assert again.z == D.z
-    assert again.mu == D.mu
-    assert again.u_set == D.u_set
 
 
 def test_parse_errors():

@@ -82,11 +82,3 @@ def test_deserialize_rejects_invalid_forms():
 def test_render_roundtrip():
     for text in ("0", "1", "a0(x)", "join(a0(x),a1(y))", "bowtie(0,1,1)"):
         assert expr.render(parse(text)) == text
-
-
-def test_to_expr_reconstructs():
-    rng = random.Random("expr:toexpr")
-    names = ("x", "y")
-    for _ in range(300):
-        v = freepairs.random_elem(rng, names, 2)
-        assert parse_eval(expr.to_expr(v)) == v
