@@ -327,11 +327,11 @@ class Congruences:
     congruence is last.  ``jmask[i]`` sets bit g when J[g] lies below
     ``cons[i]``, that is when ``succ[g][i] == i``.  So a ≤ b exactly when
     jmask[a] is a subset of jmask[b], and jmask[a] & jmask[b] is the mask
-    of a ∧ b.  ``by_mask`` inverts ``jmask``, and ``pmask[x * n + y]`` is
-    the mask of Θ(x, y).
+    of a ∧ b.  ``by_mask`` inverts ``jmask``, and ``pmask[x * n + y]``,
+    filled in by ``all_congruences``, is the mask of Θ(x, y).
     """
 
-    def __init__(self, cons: tuple, succ: tuple, principal: list):
+    def __init__(self, cons: tuple, succ: tuple):
         self.cons = cons
         self.succ = succ
         self.jmask = tuple(
@@ -339,7 +339,7 @@ class Congruences:
             for i in range(len(cons))
         )
         self.by_mask = {m: i for i, m in enumerate(self.jmask)}
-        self.pmask = tuple(self.jmask[i] for i in principal)
+        self.pmask = ()
 
     def __len__(self) -> int:
         return len(self.cons)
@@ -358,20 +358,55 @@ class Congruences:
         return i
 
 
+def _upper_covers(L: FinAlgebra) -> list:
+    """For each element a, the elements that cover a in the order of the
+    designated join, in increasing label order."""
+    n, join = L.size, L.join
+    above = [
+        sum(1 << b for b in range(n) if b != a and join[a * n + b] == b)
+        for a in range(n)
+    ]
+    out = []
+    for a in range(n):
+        higher = 0
+        for b in range(n):
+            if above[a] >> b & 1:
+                higher |= above[b]
+        out.append([b for b in range(n) if (above[a] & ~higher) >> b & 1])
+    return out
+
+
 @lru_cache(maxsize=None)
 def all_congruences(L: FinAlgebra) -> Congruences:
-    """Con L, from the one sweep of Θ over the pairs of L.
+    """Con L, from the principal congruences of its candidate pairs.
+
+    When the designated join is a basic operation every congruence
+    respects it, so Θ(x, y) = Θ(x, x v y) v Θ(y, x v y), and for a < b,
+    Θ(a, b) is the join of the Θ of the covers along any maximal chain
+    from a to b.  Then the candidates are the covering pairs, whose Θ
+    include J(Con L); otherwise they are all pairs of L.
 
     Every congruence of a finite algebra is a join of principal ones.
-    They are taken finest first (a strictly finer partition has strictly
-    more blocks); one that is not yet a join of those before it is
-    join-irreducible, and the join closure grows by joining it with every
-    congruence found so far.  A congruence found at that step is c v g
-    for an older c, so its joins with the older join-irreducibles are
-    those of c joined with g, read from the same step.
+    The candidates' Θ are taken finest first (a strictly finer partition
+    has strictly more blocks); one that is not yet a join of those before
+    it is join-irreducible, and the join closure grows by joining it with
+    every congruence found so far.  A congruence found at that step is
+    c v g for an older c, so its joins with the older join-irreducibles
+    are those of c joined with g, read from the same step.
+
+    ``pmask`` is read from the candidates' Θ.  With covering candidates,
+    the mask of a < b is that of a ≺ c joined with that of c < b, for the
+    first cover c of a below b (elements with fewer above them first, so
+    c < b is known), and then that of x, y is the join of those of
+    x < x v y and y < x v y.
     """
     n = L.size
-    pairs = list(itertools.combinations(range(n), 2))
+    if L.join_name is None:
+        upper = None
+        pairs = list(itertools.combinations(range(n), 2))
+    else:
+        upper = _upper_covers(L)
+        pairs = [(min(a, b), max(a, b)) for a in range(n) for b in upper[a]]
     thetas = [theta(L, x, y) for x, y in pairs]
     cons = [identity_congruence(n)]
     index = {cons[0]: 0}
@@ -394,14 +429,31 @@ def all_congruences(L: FinAlgebra) -> Congruences:
         succ.append(step + list(range(old, len(cons))))
     order = sorted(range(len(cons)), key=lambda i: cons[i].block_of)
     rank = {i: r for r, i in enumerate(order)}
-    principal = [rank[0]] * (n * n)
-    for (x, y), c in zip(pairs, thetas):
-        principal[x * n + y] = principal[y * n + x] = rank[index[c]]
-    return Congruences(
+    con = Congruences(
         tuple(cons[i] for i in order),
         tuple(tuple(rank[col[i]] for i in order) for col in succ),
-        principal,
     )
+    jmask, resolve = con.jmask, con.join
+    pmask = [None] * (n * n)
+    pmask[:: n + 1] = [0] * n  # Θ(x, x) is the identity congruence
+    for (x, y), c in zip(pairs, thetas):
+        pmask[x * n + y] = pmask[y * n + x] = jmask[rank[index[c]]]
+    if upper is not None:
+        join = L.join
+        ups = [sum(join[a * n + b] == b for b in range(n)) for a in range(n)]
+        for a in sorted(range(n), key=ups.__getitem__):
+            for b in range(n):
+                if pmask[a * n + b] is None and join[a * n + b] == b:
+                    c = next(c for c in upper[a] if join[c * n + b] == b)
+                    m = jmask[resolve(pmask[a * n + c] | pmask[c * n + b])]
+                    pmask[a * n + b] = pmask[b * n + a] = m
+        for x, y in itertools.combinations(range(n), 2):
+            if pmask[x * n + y] is None:
+                s = join[x * n + y]
+                m = jmask[resolve(pmask[x * n + s] | pmask[y * n + s])]
+                pmask[x * n + y] = pmask[y * n + x] = m
+    con.pmask = tuple(pmask)
+    return con
 
 
 @lru_cache(maxsize=None)

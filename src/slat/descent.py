@@ -130,12 +130,13 @@ def validate_instance(D: DescentInstance) -> Report:
         "; ".join(bad_mu),
     )
 
-    cons = L.con_index.cons
+    con = L.con_index
+    cons = con.cons
     hom_ok = True
     witness = ""
-    for c1 in cons:
-        for c2 in cons:
-            lhs = D.mu_hat(conlat.part_join(c1, c2))
+    for i, c1 in enumerate(cons):
+        for j, c2 in enumerate(cons):
+            lhs = D.mu_hat(cons[con.join(con.jmask[i] | con.jmask[j])])
             rhs = freepairs.join(D.mu_hat(c1), D.mu_hat(c2))
             if lhs != rhs:
                 hom_ok = False

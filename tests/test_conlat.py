@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from pathlib import Path
 
@@ -659,8 +660,53 @@ def test_join_only_algebras_include_nondistributive_con():
     assert len(algebras) == 21 and len(flat) == 15
 
 
+def covering_pairs(L):
+    """The pairs (a, b) with a ≺ b in the order of L's designated join."""
+    n = L.size
+    below = [[a != b and L.leq(a, b) for b in range(n)] for a in range(n)]
+    return [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if below[a][b] and not any(below[a][c] and below[c][b] for c in range(n))
+    ]
+
+
+def relabeled(L, rng):
+    """The lattice L with its elements renamed by a random permutation."""
+    n = L.size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    inv = [0] * n
+    for e, image in enumerate(perm):
+        inv[image] = e
+
+    def table(t):
+        return [perm[t[inv[a] * n + inv[b]]] for a in range(n) for b in range(n)]
+
+    ops = [(op.name, 2, table(op.table)) for op in L.ops]
+    return fin_algebra(n, ops, table(L.join), None if L.top is None else perm[L.top])
+
+
+def assert_pmask_is_theta(name, L, pairs):
+    con = L.con_index
+    for x, y in pairs:
+        expected = con.jmask[con.cons.index(theta(L, x, y))]
+        assert con.pmask[x * L.size + y] == expected, (name, x, y)
+
+
+def swapped_square():
+    """The square 0 < 1, 2 < 3 with its join and the unary swap 0↔1, 2↔3
+    as basic operations.  Con A is N5: Θ(1, 3) v Θ(2, 3) = Θ(1, 2) is the
+    full congruence, and J(Con A) has a member below it that lies below
+    neither, so the union of their masks is no congruence's mask."""
+    join = dict(corpus.bundled_corpus())["2x2"].join
+    return fin_algebra(4, [("join", 2, join), ("swap", 1, (1, 0, 3, 2))], join, top=3)
+
+
 def test_con_index_matches_the_partition_operations():
-    for name, L in corpus_and_products() + join_only_algebras():
+    square = [("swapped-square", swapped_square())]
+    for name, L in corpus_and_products() + join_only_algebras() + square:
         con = L.con_index
         assert con is all_congruences(L)
         cons = con.cons
@@ -671,22 +717,40 @@ def test_con_index_matches_the_partition_operations():
                 assert (m1 & m2 == m1) == refines(c1, c2), name
                 assert cons[con.join(m1 | m2)] == part_join(c1, c2), name
                 assert m1 & m2 == con.jmask[cons.index(part_meet(c1, c2))], name
-        for x in range(L.size):
-            for y in range(L.size):
-                expected = con.jmask[cons.index(theta(L, x, y))]
-                assert con.pmask[x * L.size + y] == expected, (name, x, y)
+        assert_pmask_is_theta(name, L, itertools.product(range(L.size), repeat=2))
+    # The chain that fills pmask from the covers depends on the labels.
+    rng = random.Random(12)
+    for name, L in corpus_and_products()[-len(PRODUCT_FACTORS):]:
+        for k in range(3):
+            R = relabeled(L, rng)
+            assert_pmask_is_theta(f"{name}#{k}", R, itertools.product(range(R.size), repeat=2))
 
 
 def test_con_index_sweeps_theta_once():
-    # pmask comes from all_congruences' own sweep of Θ: building Con A
-    # closes each unordered pair once and looks none of them up again.
+    # Building Con A closes Θ once for each unordered covering pair when
+    # the designated join is a basic operation, and for each unordered
+    # pair otherwise, and looks none of them up again.
     named = dict(corpus.bundled_corpus())
     L = corpus.product(named["chain3"], named["n5"])
+    bare = bare_chain(5)
+    for A, misses in ((L, len(covering_pairs(L))), (bare, 5 * 4 // 2)):
+        theta.cache_clear()
+        all_congruences.cache_clear()
+        A.con_index
+        assert theta.cache_info()[:2] == (0, misses)  # (hits, misses)
+    assert len(covering_pairs(L)) == 25
+
+
+def test_con_index_of_a_75_element_product():
+    m3 = corpus.m3()
+    P = corpus.product(corpus.product(m3, m3), corpus.chain(3))
     theta.cache_clear()
     all_congruences.cache_clear()
-    L.con_index
-    n = L.size
-    assert theta.cache_info()[:2] == (0, n * (n - 1) // 2)  # (hits, misses)
+    assert len(all_congruences(P)) == 16  # Fraser-Horn: 2 * 2 * 4
+    assert theta.cache_info()[:2] == (0, len(covering_pairs(P)))
+    rng = random.Random(75)
+    pairs = [(rng.randrange(P.size), rng.randrange(P.size)) for _ in range(200)]
+    assert_pmask_is_theta("m3*m3*chain3", P, pairs)
 
 
 def erosion_oracle(L, x0, x1, zs):
