@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from operator import ne
+from operator import itemgetter, ne
 from typing import Callable, NamedTuple
 
 from . import freedist
@@ -157,6 +157,18 @@ class FinAlgebra:
         ops = (op.name for op in self.ops if op.arity == 2 and op.table == self.join)
         return next(ops, None)
 
+    @cached_property
+    def meet_name(self) -> str | None:
+        """The basic binary operation whose table is the greatest-lower-bound
+        table of the designated join's order, if any."""
+        n, join = self.size, self.join
+        # x is the glb of a and b when the elements below x are those below both.
+        down = [sum(1 << c for c in range(n) if join[c * n + x] == x) for x in range(n)]
+        where = {d: x for x, d in enumerate(down)}
+        meet = tuple(where.get(da & db) for da in down for db in down)
+        ops = (op.name for op in self.ops if op.arity == 2 and op.table == meet)
+        return next(ops, None)
+
     def join_of(self, a: int, b: int) -> int:
         return self.join[a * self.size + b]
 
@@ -173,20 +185,38 @@ class FinAlgebra:
 
 
 def _check_semilattice_table(size: int, table) -> tuple:
+    """The join table as a tuple, if it is idempotent, commutative and
+    associative; else a ValueError naming the first failing cell.
+
+    Row a is checked at once: against column a, and (a v b) v c against
+    a v (b v c) for every b and c, as tuples.  Only a row that fails is
+    walked cell by cell, in the order idempotence at a, then for each b
+    commutativity at (a, b) and associativity at (a, b, c) for each c.
+    """
     table = tuple(table)
     if len(table) != size * size:
         raise ValueError(f"join table needs {size * size} entries")
-    if any(not (0 <= e < size) for e in table):
+    if table and (min(table) < 0 or max(table) >= size):
         raise ValueError("join table entry out of range")
-    get = lambda a, b: table[a * size + b]
-    for a in range(size):
-        if get(a, a) != a:
+    if size < 2:
+        # () or (0,), both semilattices; itemgetter of one index gives no tuple.
+        return table
+    rows = [table[a * size:a * size + size] for a in range(size)]
+    across = itemgetter(*table)  # row a to a v (b v c) for every b, c
+    for a, row in enumerate(rows):
+        if (
+            row[a] == a
+            and row == table[a::size]
+            and across(row) == tuple(itertools.chain.from_iterable(map(rows.__getitem__, row)))
+        ):
+            continue
+        if row[a] != a:
             raise ValueError(f"join not idempotent at {a}")
         for b in range(size):
-            if get(a, b) != get(b, a):
+            if row[b] != table[b * size + a]:
                 raise ValueError(f"join not commutative at ({a},{b})")
             for c in range(size):
-                if get(get(a, b), c) != get(a, get(b, c)):
+                if table[row[b] * size + c] != row[table[b * size + c]]:
                     raise ValueError(f"join not associative at ({a},{b},{c})")
     return table
 
@@ -200,7 +230,7 @@ def fin_algebra(size, ops, join, top=None) -> FinAlgebra:
             raise ValueError(f"operation {op.name}: arity must be 1 or 2")
         if len(op.table) != size**op.arity:
             raise ValueError(f"operation {op.name}: wrong table size")
-        if any(not (0 <= e < size) for e in op.table):
+        if min(op.table) < 0 or max(op.table) >= size:
             raise ValueError(f"operation {op.name}: entry out of range")
     join = _check_semilattice_table(size, join)
     if top is not None and not (0 <= top < size):
@@ -386,6 +416,14 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     from a to b.  Then the candidates are the covering pairs, whose Θ
     include J(Con L); otherwise they are all pairs of L.
 
+    When the meet is a basic operation as well, L is a lattice whose
+    congruences respect both, and the candidates shrink to the pairs
+    (j_*, j) for j in J(L), j_* its unique lower cover (R. Freese,
+    "Computing congruences efficiently", Algebra Universalis 59, 2008).
+    For a cover a ≺ b, let j be minimal in J(L) with j ≤ b and j ≰ a.
+    Then j_* ≤ a, so a ∧ j = j_* and a v j = b: the interval [j_*, j] is
+    perspective to [a, b], and Θ(j_*, j) = Θ(a, b).
+
     Every congruence of a finite algebra is a join of principal ones.
     The candidates' Θ are taken finest first (a strictly finer partition
     has strictly more blocks); one that is not yet a join of those before
@@ -394,11 +432,12 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     c v g for an older c, so its joins with the older join-irreducibles
     are those of c joined with g, read from the same step.
 
-    ``pmask`` is read from the candidates' Θ.  With covering candidates,
-    the mask of a < b is that of a ≺ c joined with that of c < b, for the
-    first cover c of a below b (elements with fewer above them first, so
-    c < b is known), and then that of x, y is the join of those of
-    x < x v y and y < x v y.
+    ``pmask`` is read from the candidates' Θ.  With a join among the
+    basic operations, each cover takes the mask of its own Θ or of its
+    perspective (j_*, j); the mask of a < b is that of a ≺ c joined with
+    that of c < b, for the first cover c of a below b (elements with fewer
+    above them first, so c < b is known), and then that of x, y is the
+    join of those of x < x v y and y < x v y.
     """
     n = L.size
     if L.join_name is None:
@@ -406,7 +445,15 @@ def all_congruences(L: FinAlgebra) -> Congruences:
         pairs = list(itertools.combinations(range(n), 2))
     else:
         upper = _upper_covers(L)
-        pairs = [(min(a, b), max(a, b)) for a in range(n) for b in upper[a]]
+        covers = [(a, b) for a in range(n) for b in upper[a]]
+        pairs = covers
+        if L.meet_name is not None:
+            below = {}
+            for a, b in covers:
+                below.setdefault(b, []).append(a)
+            lower = {j: lo[0] for j, lo in below.items() if len(lo) == 1}  # j to j_*
+            pairs = [(lower[j], j) for j in lower]
+        pairs = [(min(a, b), max(a, b)) for a, b in pairs]
     thetas = [theta(L, x, y) for x, y in pairs]
     cons = [identity_congruence(n)]
     index = {cons[0]: 0}
@@ -441,6 +488,16 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     if upper is not None:
         join = L.join
         ups = [sum(join[a * n + b] == b for b in range(n)) for a in range(n)]
+        if L.meet_name is not None:
+            # An element with more above it comes first, so the first j
+            # that fits is minimal.
+            irreducibles = sorted(lower, key=ups.__getitem__, reverse=True)
+            for a, b in covers:
+                j = next(
+                    j for j in irreducibles
+                    if join[j * n + b] == b and join[j * n + a] != a
+                )
+                pmask[a * n + b] = pmask[b * n + a] = pmask[lower[j] * n + j]
         for a in sorted(range(n), key=ups.__getitem__):
             for b in range(n):
                 if pmask[a * n + b] is None and join[a * n + b] == b:

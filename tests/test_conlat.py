@@ -292,6 +292,91 @@ def test_semilattice_validation():
         semilattice(2, [1, 1, 1, 1], 0)  # zero not neutral
 
 
+def semilattice_check_oracle(size, table):
+    """The cell-by-cell join-table check that fin_algebra and semilattice
+    made before they checked a row at a time: the reference for which
+    tables pass and for the text of the first error."""
+    table = tuple(table)
+    if len(table) != size * size:
+        raise ValueError(f"join table needs {size * size} entries")
+    if any(not (0 <= e < size) for e in table):
+        raise ValueError("join table entry out of range")
+    get = lambda a, b: table[a * size + b]
+    for a in range(size):
+        if get(a, a) != a:
+            raise ValueError(f"join not idempotent at {a}")
+        for b in range(size):
+            if get(a, b) != get(b, a):
+                raise ValueError(f"join not commutative at ({a},{b})")
+            for c in range(size):
+                if get(get(a, b), c) != get(a, get(b, c)):
+                    raise ValueError(f"join not associative at ({a},{b},{c})")
+    return table
+
+
+def outcome(check, *args):
+    try:
+        return "ok", check(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def corrupted_tables(L, rng, count):
+    """count copies of L's join table with 0-3 cells (or mirrored pairs of
+    cells, which keep commutativity) set to seeded values, a few of them
+    just out of range."""
+    n = L.size
+    for _ in range(count):
+        table = list(L.join)
+        for _ in range(rng.randrange(4)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            v = rng.choice((-1, n)) if rng.random() < 0.05 else rng.randrange(n)
+            table[a * n + b] = v
+            if rng.random() < 0.5:
+                table[b * n + a] = v
+        yield table
+
+
+def test_row_wise_table_check_matches_the_cell_by_cell_loop():
+    named = dict(corpus.bundled_corpus())
+    lattices = list(named.values()) + [
+        corpus.product(named["chain3"], named["n5"]),
+        corpus.product(named["chain2"], named["m3"]),
+    ]
+    join_of_algebra = lambda n, table: fin_algebra(n, [], table).join
+    rng = random.Random("conlat:row-wise-check")
+    checked, kinds = 0, set()
+    for L in lattices:
+        for table in corrupted_tables(L, rng, 130):
+            expected = outcome(semilattice_check_oracle, L.size, table)
+            assert outcome(conlat._check_semilattice_table, L.size, table) == expected
+            assert outcome(join_of_algebra, L.size, table) == expected
+            checked += 1
+            kinds.add("ok" if expected[0] == "ok" else expected[1].split(" at ")[0])
+    assert checked == 23 * 130
+    assert sorted(kinds) == [
+        "join not associative", "join not commutative", "join not idempotent",
+        "join table entry out of range", "ok",
+    ]
+    # Sizes 0 to 2, where itemgetter of one index would give no tuple.
+    for size, table in ((0, []), (1, [0]), (1, [1]), (1, [-1]), (2, [0, 1, 1, 1]), (2, [1, 1, 1, 1])):
+        expected = outcome(semilattice_check_oracle, size, table)
+        assert outcome(conlat._check_semilattice_table, size, table) == expected
+    assert outcome(semilattice, 0, [], 0) == ("error", "zero out of range")
+
+
+def test_operation_table_errors():
+    join = corpus.chain(3).join
+    for ops, message in (
+        ([("f", 1, [0, 3, 1])], "operation f: entry out of range"),
+        ([("f", 1, [0, -1, 1])], "operation f: entry out of range"),
+        ([("g", 2, [0] * 8 + [3])], "operation g: entry out of range"),
+        ([("g", 2, [0] * 8)], "operation g: wrong table size"),
+        ([("h", 3, [0] * 27)], "operation h: arity must be 1 or 2"),
+    ):
+        assert outcome(fin_algebra, 3, ops, join) == ("error", message)
+
+
 def test_sem_hom_validation():
     two = semilattice(2, [0, 1, 1, 1], 0)
     m3 = m3_semilattice()
@@ -726,19 +811,70 @@ def test_con_index_matches_the_partition_operations():
             assert_pmask_is_theta(f"{name}#{k}", R, itertools.product(range(R.size), repeat=2))
 
 
+def join_irreducibles(L):
+    """The elements of L with exactly one lower cover."""
+    lower = [b for _, b in covering_pairs(L)]
+    return [j for j in range(L.size) if lower.count(j) == 1]
+
+
+def constant_op_chain(n):
+    """chain(n) with its join and a constant binary operation: a join but
+    no meet among the basic operations."""
+    ch = corpus.chain(n)
+    return fin_algebra(n, [("join", 2, ch.join), ("zero", 2, [0] * n * n)], ch.join, top=n - 1)
+
+
+def test_meet_name():
+    from slat.suite import brute_theta
+
+    rng = random.Random("conlat:meet-name")
+    lattices = corpus_and_products() + unary_algebras()
+    lattices += [
+        (f"{name}#{k}", relabeled(L, rng))
+        for name, L in corpus_and_products()[-len(PRODUCT_FACTORS):]
+        for k in range(2)
+    ]
+    assert len(lattices) == 21 + 7 + 2 + 14
+    for name, L in lattices:
+        assert L.meet_name == "meet", name
+    # The (j_*, j) candidates need only the join and the meet to be basic.
+    for name, L in unary_algebras():
+        assert_pmask_is_theta(name, L, itertools.product(range(L.size), repeat=2))
+    # A one-element join is its own meet.
+    no_meet = [(name, L) for name, L in join_only_algebras() if L.size > 1]
+    assert [L.meet_name for name, L in join_only_algebras() if L.size == 1] == ["join"]
+    no_meet += [("swapped-square", swapped_square()), ("constant-op", constant_op_chain(4))]
+    assert len(no_meet) == 20 + 2
+    for name, L in no_meet:
+        assert L.meet_name is None, name
+        assert all_congruences(L).cons == principal_closure(L), name
+        pairs = list(itertools.product(range(L.size), repeat=2))
+        assert all(theta(L, x, y) == brute_theta(L, x, y) for x, y in pairs), name
+        assert_pmask_is_theta(name, L, pairs)
+    # A constant operation forces no pair, so Con is that of the join
+    # alone: the partitions of the 4-chain into intervals.
+    assert len(all_congruences(constant_op_chain(4))) == 8
+
+
 def test_con_index_sweeps_theta_once():
-    # Building Con A closes Θ once for each unordered covering pair when
-    # the designated join is a basic operation, and for each unordered
-    # pair otherwise, and looks none of them up again.
+    # Building Con A closes Θ once for each (j_*, j), j join-irreducible,
+    # when the join and the meet are basic operations; once for each
+    # unordered covering pair when only the join is; once for each
+    # unordered pair otherwise; and looks none of them up again.
     named = dict(corpus.bundled_corpus())
     L = corpus.product(named["chain3"], named["n5"])
+    join_only = fin_algebra(L.size, [("join", 2, L.join)], L.join, top=L.top)
     bare = bare_chain(5)
-    for A, misses in ((L, len(covering_pairs(L))), (bare, 5 * 4 // 2)):
+    for A, misses in (
+        (L, len(join_irreducibles(L))),
+        (join_only, len(covering_pairs(L))),
+        (bare, 5 * 4 // 2),
+    ):
         theta.cache_clear()
         all_congruences.cache_clear()
         A.con_index
         assert theta.cache_info()[:2] == (0, misses)  # (hits, misses)
-    assert len(covering_pairs(L)) == 25
+    assert (len(join_irreducibles(L)), len(covering_pairs(L))) == (5, 25)
 
 
 def test_con_index_of_a_75_element_product():
@@ -747,7 +883,7 @@ def test_con_index_of_a_75_element_product():
     theta.cache_clear()
     all_congruences.cache_clear()
     assert len(all_congruences(P)) == 16  # Fraser-Horn: 2 * 2 * 4
-    assert theta.cache_info()[:2] == (0, len(covering_pairs(P)))
+    assert theta.cache_info()[:2] == (0, len(join_irreducibles(P))) == (0, 8)
     rng = random.Random(75)
     pairs = [(rng.randrange(P.size), rng.randrange(P.size)) for _ in range(200)]
     assert_pmask_is_theta("m3*m3*chain3", P, pairs)
