@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from operator import itemgetter, ne
+from operator import itemgetter, ne, or_
 from typing import Callable, NamedTuple
 
 from . import freedist
@@ -158,12 +158,25 @@ class FinAlgebra:
         return next(ops, None)
 
     @cached_property
+    def order(self) -> tuple:
+        """(down, up): for each element x, the bitmask of the elements at or
+        below x and that of the elements at or above x, in the order of the
+        designated join."""
+        n, join = self.size, self.join
+        down, up = [0] * n, [0] * n
+        for a in range(n):
+            for b, s in enumerate(join[a * n:a * n + n]):
+                if s == b:  # a ≤ b
+                    up[a] |= 1 << b
+                    down[b] |= 1 << a
+        return down, up
+
+    @cached_property
     def meet_name(self) -> str | None:
         """The basic binary operation whose table is the greatest-lower-bound
         table of the designated join's order, if any."""
-        n, join = self.size, self.join
         # x is the glb of a and b when the elements below x are those below both.
-        down = [sum(1 << c for c in range(n) if join[c * n + x] == x) for x in range(n)]
+        down = self.order[0]
         where = {d: x for x, d in enumerate(down)}
         meet = tuple(where.get(da & db) for da in down for db in down)
         ops = (op.name for op in self.ops if op.arity == 2 and op.table == meet)
@@ -353,22 +366,19 @@ class Congruences:
     """Con A of one algebra: every congruence, sorted by ``block_of``, and
     each one as a bitmask over J(Con A), the join-irreducible congruences.
 
-    ``succ[g][i]`` is the index of ``cons[i] v J[g]``; the identity
-    congruence is last.  ``jmask[i]`` sets bit g when J[g] lies below
-    ``cons[i]``, that is when ``succ[g][i] == i``.  So a ≤ b exactly when
-    jmask[a] is a subset of jmask[b], and jmask[a] & jmask[b] is the mask
-    of a ∧ b.  ``by_mask`` inverts ``jmask``, and ``pmask[x * n + y]``,
-    filled in by ``all_congruences``, is the mask of Θ(x, y).
+    ``jmask[i]`` sets bit g when J[g] lies below ``cons[i]``, so a ≤ b
+    exactly when jmask[a] is a subset of jmask[b], and jmask[a] & jmask[b]
+    is the mask of a ∧ b.  ``succ[g][i]`` is the index of ``cons[i] v J[g]``;
+    the identity congruence is last.  ``by_mask`` inverts ``jmask``, and
+    ``pmask[x * n + y]``, filled in by ``all_congruences``, is the mask of
+    Θ(x, y).  When Con A is distributive, as it is for every lattice, the
+    masks are exactly the down-sets of J(Con A) (Birkhoff), and the union
+    of two masks is the mask of the join.
     """
 
-    def __init__(self, cons: tuple, succ: tuple):
-        self.cons = cons
-        self.succ = succ
-        self.jmask = tuple(
-            sum(1 << g for g, col in enumerate(succ) if col[i] == i)
-            for i in range(len(cons))
-        )
-        self.by_mask = {m: i for i, m in enumerate(self.jmask)}
+    def __init__(self, cons: tuple, jmask: tuple, succ: tuple):
+        self.cons, self.jmask, self.succ = cons, jmask, succ
+        self.by_mask = {m: i for i, m in enumerate(jmask)}
         self.pmask = ()
 
     def __len__(self) -> int:
@@ -391,69 +401,123 @@ class Congruences:
 def _upper_covers(L: FinAlgebra) -> list:
     """For each element a, the elements that cover a in the order of the
     designated join, in increasing label order."""
-    n, join = L.size, L.join
-    above = [
-        sum(1 << b for b in range(n) if b != a and join[a * n + b] == b)
-        for a in range(n)
+    n, (down, up) = L.size, L.order
+    # b covers a when the interval from a to b holds a and b alone.
+    return [
+        [b for b in range(n) if b != a and up[a] & down[b] == 1 << a | 1 << b] for a in range(n)
     ]
-    out = []
-    for a in range(n):
-        higher = 0
+
+
+def _fill_pmask(L: FinAlgebra, upper: list, pmask: list, close) -> None:
+    """Fill ``pmask`` from the masks of the covers in it: that of a < b is the
+    join of those of a ≺ c and c < b, c the first cover of a below b (fewer
+    above first, so c < b is known), and that of x, y is the join of those
+    of x < x v y and y < x v y.  ``close`` takes a union to the join."""
+    n, join, up = L.size, L.join, L.order[1]
+    for a in sorted(range(n), key=lambda a: up[a].bit_count()):
         for b in range(n):
-            if above[a] >> b & 1:
-                higher |= above[b]
-        out.append([b for b in range(n) if (above[a] & ~higher) >> b & 1])
-    return out
+            if pmask[a * n + b] is None and up[a] >> b & 1:
+                c = next(c for c in upper[a] if up[c] >> b & 1)
+                m = close(pmask[a * n + c] | pmask[c * n + b])
+                pmask[a * n + b] = pmask[b * n + a] = m
+    for x, y in itertools.combinations(range(n), 2):
+        if pmask[x * n + y] is None:
+            s = join[x * n + y]
+            pmask[x * n + y] = pmask[y * n + x] = close(pmask[x * n + s] | pmask[y * n + s])
+
+
+def _lattice_congruences(L: FinAlgebra, upper: list) -> Congruences:
+    """Con L of a lattice from Freese's dependency relation on J(L), with
+    no partition closure (see ``all_congruences``)."""
+    n, join, (down, up) = L.size, L.join, L.order
+    lower = [[a for a in range(n) if b in upper[a]] for b in range(n)]
+    irr = [j for j in range(n) if len(lower[j]) == 1]  # J(L); j_* is lower[j][0]
+    jbits = sum(1 << j for j in irr)
+    below = {}  # k to the j with j D k (then j D* k), as a bitmask over L
+    for k in irr:
+        hits = (down[join[k * n + x]] & ~down[join[lower[k][0] * n + x]] for x in range(n))
+        below[k] = jbits & reduce(or_, hits)
+    for i, k in itertools.product(irr, irr):  # Warshall: i is the middle step
+        if below[k] >> i & 1:
+            below[k] |= below[i]
+    # The classes of D*, each a below-set, smaller ones first: J(Con L) in
+    # a linear extension of its order, and each one's down-set mask.
+    classes = sorted(set(below.values()), key=lambda s: (s.bit_count(), s))
+    gmask = [sum(1 << h for h, t in enumerate(classes) if t & s == t) for s in classes]
+    masks = [0]  # the down-sets of J[0..g-1], each extended by J[g] when it holds all below J[g]
+    for g, d in enumerate(gmask):
+        masks += [m | d for m in masks if d & ~m == 1 << g]
+    # Each cover a ≺ b takes the mask of (j_*, j), j minimal with j ≤ b and
+    # j ≰ a: an element with more above it comes first.
+    irr.sort(key=lambda j: -up[j].bit_count())
+    pmask = [None] * (n * n)
+    pmask[:: n + 1] = [0] * n
+    steps = []  # (b, a, g) for a ≺ b with the mask of J[g], b in a linear extension of L
+    for b in sorted(range(n), key=lambda b: down[b].bit_count()):
+        for a in lower[b]:
+            j = next(j for j in irr if (down[b] & ~down[a]) >> j & 1)
+            g = classes.index(below[j])
+            pmask[a * n + b] = pmask[b * n + a] = gmask[g]
+            steps.append((b, a, g))
+    # A congruence class of a lattice is an interval, so an element that is
+    # not the least of its class shares it with a collapsed lower cover.
+    cons = []
+    for m in masks:
+        block = list(range(n))
+        for b, a, g in steps:
+            if m >> g & 1:
+                block[b] = block[a]
+        cons.append(congruence_from_blockof(block))
+    order = sorted(range(len(cons)), key=lambda i: cons[i].block_of)
+    jmask = tuple(masks[i] for i in order)
+    rank = {m: r for r, m in enumerate(jmask)}
+    succ = tuple(tuple(rank[m | d] for m in jmask) for d in gmask)
+    con = Congruences(tuple(cons[i] for i in order), jmask, succ)
+    _fill_pmask(L, upper, pmask, lambda m: m)
+    con.pmask = tuple(pmask)
+    return con
 
 
 @lru_cache(maxsize=None)
 def all_congruences(L: FinAlgebra) -> Congruences:
-    """Con L, from the principal congruences of its candidate pairs.
+    """Con L, on one of two paths.
 
-    When the designated join is a basic operation every congruence
-    respects it, so Θ(x, y) = Θ(x, x v y) v Θ(y, x v y), and for a < b,
-    Θ(a, b) is the join of the Θ of the covers along any maximal chain
-    from a to b.  Then the candidates are the covering pairs, whose Θ
-    include J(Con L); otherwise they are all pairs of L.
+    A lattice, whose basic operations are its join and its meet and no
+    other, closes no Θ and joins no partitions.  For j ≠ k in J(L), j_*
+    the lower cover of j, Freese's dependency relation has j D k when some
+    x has j ≤ k v x and j ≰ k_* v x, and Θ(j_*, j) ⊆ Θ(k_*, k) exactly
+    when j D* k, its reflexive-transitive closure (R. Freese, "Computing
+    congruences efficiently", Algebra Universalis 59, 2008; R. Freese,
+    J. Ježek and J. B. Nation, *Free Lattices*, AMS 1995, §2.6).  So the
+    classes of D* are J(Con L), ordered by D*, and Con L, distributive by
+    Funayama–Nakayama, is every down-set of them.  A cover a ≺ b takes the
+    mask of (j_*, j), j minimal in J(L) with j ≤ b and j ≰ a: then j_* ≤ a,
+    so [j_*, j] is perspective to [a, b] and Θ(j_*, j) = Θ(a, b).
 
-    When the meet is a basic operation as well, L is a lattice whose
-    congruences respect both, and the candidates shrink to the pairs
-    (j_*, j) for j in J(L), j_* its unique lower cover (R. Freese,
-    "Computing congruences efficiently", Algebra Universalis 59, 2008).
-    For a cover a ≺ b, let j be minimal in J(L) with j ≤ b and j ≰ a.
-    Then j_* ≤ a, so a ∧ j = j_* and a v j = b: the interval [j_*, j] is
-    perspective to [a, b], and Θ(j_*, j) = Θ(a, b).
+    Any other algebra closes the Θ of candidate pairs: when the designated
+    join is a basic operation, Θ(x, y) = Θ(x, x v y) v Θ(y, x v y) and, for
+    a < b, Θ(a, b) is the join of the Θ of the covers along a maximal chain
+    from a to b, so the covering pairs, whose Θ include J(Con L); otherwise
+    every pair.  The Θ are taken finest first (a strictly finer partition
+    has more blocks); one that is not yet a join of those before it is
+    join-irreducible, and the join closure grows by joining it with every
+    congruence found so far.  A congruence found at that step is c v g for
+    an older c, so its joins with the older join-irreducibles are those of
+    c joined with g, read from the same step.
 
-    Every congruence of a finite algebra is a join of principal ones.
-    The candidates' Θ are taken finest first (a strictly finer partition
-    has strictly more blocks); one that is not yet a join of those before
-    it is join-irreducible, and the join closure grows by joining it with
-    every congruence found so far.  A congruence found at that step is
-    c v g for an older c, so its joins with the older join-irreducibles
-    are those of c joined with g, read from the same step.
-
-    ``pmask`` is read from the candidates' Θ.  With a join among the
-    basic operations, each cover takes the mask of its own Θ or of its
-    perspective (j_*, j); the mask of a < b is that of a ≺ c joined with
-    that of c < b, for the first cover c of a below b (elements with fewer
-    above them first, so c < b is known), and then that of x, y is the
-    join of those of x < x v y and y < x v y.
+    With a join among the basic operations, ``pmask`` comes from the masks
+    of the covers (see ``_fill_pmask``); otherwise from the Θ of each pair.
     """
     n = L.size
-    if L.join_name is None:
-        upper = None
+    upper = None if L.join_name is None else _upper_covers(L)
+    meet = next((op.table for op in L.ops if op.name == L.meet_name), None)
+    pure = meet is not None and all(op.arity == 2 and op.table in (L.join, meet) for op in L.ops)
+    if upper is not None and pure:
+        return _lattice_congruences(L, upper)
+    if upper is None:
         pairs = list(itertools.combinations(range(n), 2))
     else:
-        upper = _upper_covers(L)
-        covers = [(a, b) for a in range(n) for b in upper[a]]
-        pairs = covers
-        if L.meet_name is not None:
-            below = {}
-            for a, b in covers:
-                below.setdefault(b, []).append(a)
-            lower = {j: lo[0] for j, lo in below.items() if len(lo) == 1}  # j to j_*
-            pairs = [(lower[j], j) for j in lower]
-        pairs = [(min(a, b), max(a, b)) for a, b in pairs]
+        pairs = [(min(a, b), max(a, b)) for a in range(n) for b in upper[a]]
     thetas = [theta(L, x, y) for x, y in pairs]
     cons = [identity_congruence(n)]
     index = {cons[0]: 0}
@@ -462,8 +526,7 @@ def all_congruences(L: FinAlgebra) -> Congruences:
         if g in index:
             continue
         old = len(cons)
-        step = []
-        origin = []
+        step, origin = [], []
         for i in range(old):
             c = part_join(cons[i], g)
             j = index.setdefault(c, len(cons))
@@ -476,39 +539,15 @@ def all_congruences(L: FinAlgebra) -> Congruences:
         succ.append(step + list(range(old, len(cons))))
     order = sorted(range(len(cons)), key=lambda i: cons[i].block_of)
     rank = {i: r for r, i in enumerate(order)}
-    con = Congruences(
-        tuple(cons[i] for i in order),
-        tuple(tuple(rank[col[i]] for i in order) for col in succ),
-    )
-    jmask, resolve = con.jmask, con.join
+    succ = tuple(tuple(rank[col[i]] for i in order) for col in succ)
+    jmask = [sum(1 << g for g, col in enumerate(succ) if col[r] == r) for r in range(len(cons))]
+    con = Congruences(tuple(cons[i] for i in order), tuple(jmask), succ)
     pmask = [None] * (n * n)
     pmask[:: n + 1] = [0] * n  # Θ(x, x) is the identity congruence
     for (x, y), c in zip(pairs, thetas):
         pmask[x * n + y] = pmask[y * n + x] = jmask[rank[index[c]]]
     if upper is not None:
-        join = L.join
-        ups = [sum(join[a * n + b] == b for b in range(n)) for a in range(n)]
-        if L.meet_name is not None:
-            # An element with more above it comes first, so the first j
-            # that fits is minimal.
-            irreducibles = sorted(lower, key=ups.__getitem__, reverse=True)
-            for a, b in covers:
-                j = next(
-                    j for j in irreducibles
-                    if join[j * n + b] == b and join[j * n + a] != a
-                )
-                pmask[a * n + b] = pmask[b * n + a] = pmask[lower[j] * n + j]
-        for a in sorted(range(n), key=ups.__getitem__):
-            for b in range(n):
-                if pmask[a * n + b] is None and join[a * n + b] == b:
-                    c = next(c for c in upper[a] if join[c * n + b] == b)
-                    m = jmask[resolve(pmask[a * n + c] | pmask[c * n + b])]
-                    pmask[a * n + b] = pmask[b * n + a] = m
-        for x, y in itertools.combinations(range(n), 2):
-            if pmask[x * n + y] is None:
-                s = join[x * n + y]
-                m = jmask[resolve(pmask[x * n + s] | pmask[y * n + s])]
-                pmask[x * n + y] = pmask[y * n + x] = m
+        _fill_pmask(L, upper, pmask, lambda m: jmask[con.join(m)])
     con.pmask = tuple(pmask)
     return con
 

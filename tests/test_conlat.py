@@ -666,12 +666,16 @@ def oracle_algebras():
 
 
 def principal_closure(L):
-    """The reference for all_congruences: the join closure of every
-    principal congruence under part_join."""
+    """The reference for all_congruences: every join of principal
+    congruences, adding one principal congruence g at a time.  A g already
+    found is a join of earlier ones and adds nothing; finest first, so most
+    of them are."""
     n = L.size
-    found = join_closure(
-        (theta(L, x, y) for x in range(n) for y in range(x, n)), part_join
-    )
+    gens = {theta(L, x, y) for x in range(n) for y in range(x, n)}
+    found = {identity_congruence(n)}
+    for g in sorted(gens, key=lambda c: -max(c.block_of)):
+        if g not in found:
+            found |= {part_join(c, g) for c in found}
     return tuple(sorted(found, key=lambda c: c.block_of))
 
 
@@ -837,7 +841,7 @@ def test_meet_name():
     assert len(lattices) == 21 + 7 + 2 + 14
     for name, L in lattices:
         assert L.meet_name == "meet", name
-    # The (j_*, j) candidates need only the join and the meet to be basic.
+    # A lattice with a further operation closes the Θ of its covers.
     for name, L in unary_algebras():
         assert_pmask_is_theta(name, L, itertools.product(range(L.size), repeat=2))
     # A one-element join is its own meet.
@@ -857,36 +861,87 @@ def test_meet_name():
 
 
 def test_con_index_sweeps_theta_once():
-    # Building Con A closes Θ once for each (j_*, j), j join-irreducible,
-    # when the join and the meet are basic operations; once for each
-    # unordered covering pair when only the join is; once for each
-    # unordered pair otherwise; and looks none of them up again.
+    # Building Con A closes no Θ when the join and the meet are the only
+    # basic operations; once for each unordered covering pair when the
+    # join is one of them; once for each unordered pair otherwise; and
+    # looks none of them up again.
     named = dict(corpus.bundled_corpus())
     L = corpus.product(named["chain3"], named["n5"])
     join_only = fin_algebra(L.size, [("join", 2, L.join)], L.join, top=L.top)
     bare = bare_chain(5)
+    unary = unary_algebras()[0][1]
     for A, misses in (
-        (L, len(join_irreducibles(L))),
+        (L, 0),
         (join_only, len(covering_pairs(L))),
         (bare, 5 * 4 // 2),
+        (unary, len(covering_pairs(unary))),
     ):
         theta.cache_clear()
         all_congruences.cache_clear()
         A.con_index
         assert theta.cache_info()[:2] == (0, misses)  # (hits, misses)
-    assert (len(join_irreducibles(L)), len(covering_pairs(L))) == (5, 25)
+    assert (len(covering_pairs(L)), len(covering_pairs(unary))) == (25, 3)
 
 
 def test_con_index_of_a_75_element_product():
     m3 = corpus.m3()
     P = corpus.product(corpus.product(m3, m3), corpus.chain(3))
     theta.cache_clear()
+    part_join.cache_clear()
     all_congruences.cache_clear()
     assert len(all_congruences(P)) == 16  # Fraser-Horn: 2 * 2 * 4
-    assert theta.cache_info()[:2] == (0, len(join_irreducibles(P))) == (0, 8)
+    assert theta.cache_info()[:2] == (0, 0)  # (hits, misses)
+    assert part_join.cache_info()[:2] == (0, 0)
     rng = random.Random(75)
     pairs = [(rng.randrange(P.size), rng.randrange(P.size)) for _ in range(200)]
     assert_pmask_is_theta("m3*m3*chain3", P, pairs)
+
+
+def dependency_lattices():
+    """The lattices whose only basic operations are their join and meet:
+    those of oracle_algebras(), every other product of two corpus lattices
+    of at least 2 and at most 24 elements, chain(7), chain(8), m3×n5,
+    m3×m3×chain(3), and two lattices on which Freese's D is not transitive,
+    so that Con L needs its transitive closure D*."""
+    named = dict(corpus.bundled_corpus())
+    pure = {"join", "meet"}
+    out = [(name, L) for name, L in oracle_algebras() if {op.name for op in L.ops} == pure]
+    out += [
+        (f"{a}*{b}", corpus.product(named[a], named[b]))
+        for a, b in itertools.combinations_with_replacement(named, 2)
+        if (a, b) not in PRODUCT_FACTORS
+        and min(named[a].size, named[b].size) > 1
+        and named[a].size * named[b].size <= 24
+    ]
+    m3 = corpus.m3()
+    out += [(f"chain{n}", corpus.chain(n)) for n in (7, 8)]
+    out += [("m3*n5", corpus.product(m3, corpus.n5()))]
+    out += [("m3*m3*chain3", corpus.product(corpus.product(m3, m3), corpus.chain(3)))]
+    # 0 < 1, 2; 1 < 3, 4; 2 < 4, 5; 3, 4, 5 < 6, and an 8-element one with a
+    # 3-element chain as Con L.
+    seven = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6)]
+    eight = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (4, 7), (5, 7), (6, 7)]
+    out += [("D-seven", corpus.lattice_from_covers(7, seven))]
+    out += [("D-eight", corpus.lattice_from_covers(8, eight))]
+    return out
+
+
+def test_dependency_relation_matches_the_principal_closure():
+    # all_congruences reads Con L off Freese's dependency relation, with no
+    # Θ closed: check the list, every pmask entry and the number of
+    # J(Con L) (the classes of D*) against the closures of Θ.
+    lattices = dependency_lattices()
+    assert len(lattices) == 28 + 67 + 2 + 2 + 2
+    for name, L in lattices:
+        con = all_congruences(L)
+        assert con.cons == principal_closure(L), name
+        assert_pmask_is_theta(name, L, itertools.product(range(L.size), repeat=2))
+        pairs = covering_pairs(L)
+        star = {b: a for a, b in pairs}
+        thetas = {theta(L, star[j], j) for j in join_irreducibles(L)}
+        assert len(con.succ) == len(thetas), name
+    # Con L of the last two: 5 congruences, and a 3-element chain.
+    assert [len(all_congruences(L)) for _, L in lattices[-2:]] == [5, 3]
 
 
 def erosion_oracle(L, x0, x1, zs):
