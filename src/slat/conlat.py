@@ -182,6 +182,32 @@ class FinAlgebra:
         ops = (op.name for op in self.ops if op.arity == 2 and op.table == meet)
         return next(ops, None)
 
+    @cached_property
+    def translations(self) -> tuple:
+        """For each element a, the images of a under every basic translation.
+
+        The images are f(a) for each unary op f, the row f(a, z) for each
+        binary op f, and the column f(z, a) as well when f's table is not
+        commutative (for a commutative f the column repeats the row).  Every
+        element's tuple lists the translations in the same order, so zipping
+        the tuples of a and b pairs each image of a with that of b.
+        """
+        n = self.size
+        streams = []
+        for op in self.ops:
+            t = op.table
+            if op.arity == 1:
+                streams.append([t[a:a + 1] for a in range(n)])
+                continue
+            rows = [t[a * n:a * n + n] for a in range(n)]
+            streams.append(rows)
+            cols = [t[a::n] for a in range(n)]
+            if cols != rows:
+                streams.append(cols)
+        return tuple(
+            tuple(itertools.chain.from_iterable(s[a] for s in streams)) for a in range(n)
+        )
+
     def join_of(self, a: int, b: int) -> int:
         return self.join[a * self.size + b]
 
@@ -288,40 +314,13 @@ def is_compatible(L: FinAlgebra, c: Congruence, table=None) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _translations(L: FinAlgebra) -> tuple:
-    """For each element a, the images of a under every basic translation.
-
-    The images are f(a) for each unary op f, the row f(a, z) for each
-    binary op f, and the column f(z, a) as well when f's table is not
-    commutative (for a commutative f the column repeats the row).  Every
-    element's tuple lists the translations in the same order, so zipping
-    the tuples of a and b pairs each image of a with that of b.
-    """
-    n = L.size
-    streams = []
-    for op in L.ops:
-        t = op.table
-        if op.arity == 1:
-            streams.append([t[a:a + 1] for a in range(n)])
-            continue
-        rows = [t[a * n:a * n + n] for a in range(n)]
-        streams.append(rows)
-        cols = [t[a::n] for a in range(n)]
-        if cols != rows:
-            streams.append(cols)
-    return tuple(
-        tuple(itertools.chain.from_iterable(s[a] for s in streams)) for a in range(n)
-    )
-
-
-@lru_cache(maxsize=None)
 def theta(L: FinAlgebra, x: int, y: int) -> Congruence:
     """Least congruence of the basic operations identifying x and y.
 
     Worklist closure: whenever a pending pair (a, b) merges two classes,
     every pair of distinct images (f(a), f(b)) under a basic translation
-    f (see ``_translations``) is pushed.  Every pushed pair lies in each
-    congruence containing (x, y), and every merged pair has its
+    f (see ``FinAlgebra.translations``) is pushed.  Every pushed pair lies
+    in each congruence containing (x, y), and every merged pair has its
     translations inside the result, so the result is compatible.
     """
     n = L.size
@@ -329,7 +328,7 @@ def theta(L: FinAlgebra, x: int, y: int) -> Congruence:
         raise ValueError(f"elements must lie in 0..{n - 1}")
     if x > y:
         return theta(L, y, x)
-    images = _translations(L)
+    images = L.translations
     block = list(range(n))
     members = [[a] for a in range(n)]
     pending = [(x, y)]
@@ -366,18 +365,19 @@ class Congruences:
     """Con A of one algebra: every congruence, sorted by ``block_of``, and
     each one as a bitmask over J(Con A), the join-irreducible congruences.
 
-    ``jmask[i]`` sets bit g when J[g] lies below ``cons[i]``, so a ≤ b
-    exactly when jmask[a] is a subset of jmask[b], and jmask[a] & jmask[b]
-    is the mask of a ∧ b.  ``succ[g][i]`` is the index of ``cons[i] v J[g]``;
-    the identity congruence is last.  ``by_mask`` inverts ``jmask``, and
+    ``jmask[i]`` sets bit g when J[g] lies below ``cons[i]``.  A congruence
+    is the join of the join-irreducibles below it, so distinct congruences
+    have distinct masks, a ≤ b exactly when jmask[a] is a subset of
+    jmask[b], and jmask[a] & jmask[b] is the mask of a ∧ b; the identity
+    congruence is last.  ``by_mask`` inverts ``jmask``, and
     ``pmask[x * n + y]``, filled in by ``all_congruences``, is the mask of
     Θ(x, y).  When Con A is distributive, as it is for every lattice, the
     masks are exactly the down-sets of J(Con A) (Birkhoff), and the union
     of two masks is the mask of the join.
     """
 
-    def __init__(self, cons: tuple, jmask: tuple, succ: tuple):
-        self.cons, self.jmask, self.succ = cons, jmask, succ
+    def __init__(self, cons: tuple, jmask: tuple):
+        self.cons, self.jmask = cons, jmask
         self.by_mask = {m: i for i, m in enumerate(jmask)}
         self.pmask = ()
 
@@ -387,14 +387,14 @@ class Congruences:
     def join(self, m: int) -> int:
         """The index of the join of the join-irreducibles that m sets: the
         congruence whose mask is m if there is one (always, when Con A is
-        distributive), else the fold of ``succ`` over m's bits from the
-        identity congruence."""
+        distributive), else the upper bound (mask holding m) with the
+        fewest mask bits.  That bound is unique: every upper bound lies
+        above the join, so its mask holds the join's, and strictly when it
+        is another congruence, since the masks are distinct."""
         i = self.by_mask.get(m)
-        if i is None:
-            i = len(self.cons) - 1
-            for g, col in enumerate(self.succ):
-                if m >> g & 1:
-                    i = col[i]
+        if i is None:  # compress, not a generator: a closure cell for m slows every call
+            ups = itertools.compress(self.jmask, map(m.__eq__, map(m.__and__, self.jmask)))
+            i = self.by_mask[min(ups, key=int.bit_count)]
         return i
 
 
@@ -469,10 +469,7 @@ def _lattice_congruences(L: FinAlgebra, upper: list) -> Congruences:
                 block[b] = block[a]
         cons.append(congruence_from_blockof(block))
     order = sorted(range(len(cons)), key=lambda i: cons[i].block_of)
-    jmask = tuple(masks[i] for i in order)
-    rank = {m: r for r, m in enumerate(jmask)}
-    succ = tuple(tuple(rank[m | d] for m in jmask) for d in gmask)
-    con = Congruences(tuple(cons[i] for i in order), jmask, succ)
+    con = Congruences(tuple(cons[i] for i in order), tuple(masks[i] for i in order))
     _fill_pmask(L, upper, pmask, lambda m: m)
     con.pmask = tuple(pmask)
     return con
@@ -501,9 +498,8 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     every pair.  The Θ are taken finest first (a strictly finer partition
     has more blocks); one that is not yet a join of those before it is
     join-irreducible, and the join closure grows by joining it with every
-    congruence found so far.  A congruence found at that step is c v g for
-    an older c, so its joins with the older join-irreducibles are those of
-    c joined with g, read from the same step.
+    congruence found so far.  Each congruence's mask sets the
+    join-irreducibles that refine it.
 
     With a join among the basic operations, ``pmask`` comes from the masks
     of the covers (see ``_fill_pmask``); otherwise from the Θ of each pair.
@@ -519,33 +515,19 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     else:
         pairs = [(min(a, b), max(a, b)) for a in range(n) for b in upper[a]]
     thetas = [theta(L, x, y) for x, y in pairs]
-    cons = [identity_congruence(n)]
-    index = {cons[0]: 0}
-    succ = []
+    found, irr = {identity_congruence(n)}, []
     for g in sorted(dict.fromkeys(thetas), key=lambda c: -max(c.block_of)):
-        if g in index:
-            continue
-        old = len(cons)
-        step, origin = [], []
-        for i in range(old):
-            c = part_join(cons[i], g)
-            j = index.setdefault(c, len(cons))
-            if j == len(cons):
-                cons.append(c)
-                origin.append(i)
-            step.append(j)
-        for col in succ:
-            col += [step[col[i]] for i in origin]
-        succ.append(step + list(range(old, len(cons))))
-    order = sorted(range(len(cons)), key=lambda i: cons[i].block_of)
-    rank = {i: r for r, i in enumerate(order)}
-    succ = tuple(tuple(rank[col[i]] for i in order) for col in succ)
-    jmask = [sum(1 << g for g, col in enumerate(succ) if col[r] == r) for r in range(len(cons))]
-    con = Congruences(tuple(cons[i] for i in order), tuple(jmask), succ)
+        if g not in found:
+            irr.append(g)
+            found |= {part_join(c, g) for c in found}
+    cons = tuple(sorted(found, key=lambda c: c.block_of))
+    jmask = tuple(sum(1 << g for g, j in enumerate(irr) if refines(j, c)) for c in cons)
+    con = Congruences(cons, jmask)
+    mask = dict(zip(cons, jmask))
     pmask = [None] * (n * n)
     pmask[:: n + 1] = [0] * n  # Θ(x, x) is the identity congruence
     for (x, y), c in zip(pairs, thetas):
-        pmask[x * n + y] = pmask[y * n + x] = jmask[rank[index[c]]]
+        pmask[x * n + y] = pmask[y * n + x] = mask[c]
     if upper is not None:
         _fill_pmask(L, upper, pmask, lambda m: jmask[con.join(m)])
     con.pmask = tuple(pmask)
@@ -603,21 +585,14 @@ def conc(L: FinAlgebra) -> ConcResult:
 
     Returns the join table over the canonically sorted congruence list,
     plus the map sending a carrier pair to the index of its principal
-    congruence.  Row b of the table is a v b for every a: the fold of
-    ``succ[g]`` over the join-irreducibles g below b, since b is their
-    join.  It is a semilattice by construction, so it skips
+    congruence.  Entry (a, b) of the table is the join of the
+    join-irreducibles below a or b (``Congruences.join`` of the union of
+    their masks).  It is a semilattice by construction, so it skips
     ``semilattice()``'s recheck.
     """
     con = L.con_index
-    k = len(con)
-    rows = []
-    for b in range(k):
-        row = range(k)
-        for col in con.succ:
-            if col[b] == b:
-                row = map(col.__getitem__, row)
-        rows.append(row)
-    table = tuple(itertools.chain.from_iterable(rows))
+    k, jmask = len(con), con.jmask
+    table = tuple(map(con.join, [mb | ma for mb in jmask for ma in jmask]))
     pairs = itertools.product(range(L.size), repeat=2)
     pair_index = dict(zip(pairs, map(con.by_mask.__getitem__, con.pmask)))
     return ConcResult(SemilatticeTable(k, table, k - 1), con.cons, pair_index)
