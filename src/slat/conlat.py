@@ -106,8 +106,9 @@ def part_meet(c1: Congruence, c2: Congruence) -> Congruence:
 
 
 def refines(c1: Congruence, c2: Congruence) -> bool:
-    """Whether every c1-class is contained in a c2-class."""
-    return part_join(c1, c2) == c2
+    """Whether every c1-class is contained in a c2-class: each c1 block id
+    pairs with a single c2 block id."""
+    return len(set(zip(c1.block_of, c2.block_of))) == len(set(c1.block_of))
 
 
 def all_partitions(size: int):
@@ -175,10 +176,7 @@ class FinAlgebra:
     def meet_name(self) -> str | None:
         """The basic binary operation whose table is the greatest-lower-bound
         table of the designated join's order, if any."""
-        # x is the glb of a and b when the elements below x are those below both.
-        down = self.order[0]
-        where = {d: x for x, d in enumerate(down)}
-        meet = tuple(where.get(da & db) for da in down for db in down)
+        meet = bound_table(self.order[0])
         ops = (op.name for op in self.ops if op.arity == 2 and op.table == meet)
         return next(ops, None)
 
@@ -221,6 +219,14 @@ class FinAlgebra:
                 raise freedist.DomainError("empty join with no zero element")
             return empty
         return reduce(self.join_of, items)
+
+
+def bound_table(masks) -> tuple:
+    """Row-major, the element whose mask is masks[a] & masks[b], or None:
+    the joins when the (distinct) masks are the elements' up-sets, as the
+    elements above a lub are those above both; the meets for down-sets."""
+    where = {m: x for x, m in enumerate(masks)}
+    return tuple(where.get(ma & mb) for ma in masks for mb in masks)
 
 
 def _check_semilattice_table(size: int, table) -> tuple:
@@ -278,11 +284,10 @@ def fin_algebra(size, ops, join, top=None) -> FinAlgebra:
 
 
 def algebra_zero(L: FinAlgebra) -> int | None:
-    """The neutral element of the designated join, if one exists."""
-    for e in range(L.size):
-        if all(L.join_of(e, x) == x for x in range(L.size)):
-            return e
-    return None
+    """The neutral element of the designated join, if one exists: the
+    element whose up-set holds every element."""
+    full = (1 << L.size) - 1
+    return next((e for e, u in enumerate(L.order[1]) if u == full), None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,55 +1,49 @@
-"""Bundled corpus of small lattices (size <= 6) as table algebras."""
+"""Lattices as table algebras: built from covering pairs, chains, direct
+products, and a bundled corpus of 21 small lattices (size <= 6)."""
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
-from .conlat import FinAlgebra, fin_algebra
+from .conlat import FinAlgebra, Operation, _upper_covers, bound_table
 
 
 def lattice_from_covers(size: int, covers) -> FinAlgebra:
     """Build a lattice algebra from its covering pairs (lower, upper).
 
-    Joins and meets must exist and be unique; the unique maximal element
-    becomes the top.
+    Each element's up-set and down-set is a bitmask, closed over the
+    covers in one pass in topological order.  Joins and meets must exist;
+    ``bound_table`` reads them off the masks, so the tables are a
+    lattice's by construction and skip ``fin_algebra()``'s recheck.
     """
-    below = [set((x,)) for x in range(size)]
-    changed = True
-    while changed:
-        changed = False
-        for lo, hi in covers:
-            new = below[lo] - below[hi]
-            if new:
-                below[hi] |= new
-                changed = True
-    leq = [[x in below[y] for x in range(size)] for y in range(size)]
-
-    def lub(a, b):
-        uppers = [c for c in range(size) if leq[c][a] and leq[c][b]]
-        mins = [c for c in uppers if not any(d != c and leq[c][d] for d in uppers)]
-        if len(mins) != 1:
-            raise ValueError(f"no unique join for ({a},{b})")
-        return mins[0]
-
-    def glb(a, b):
-        lowers = [c for c in range(size) if leq[a][c] and leq[b][c]]
-        maxs = [c for c in lowers if not any(d != c and leq[d][c] for d in lowers)]
-        if len(maxs) != 1:
-            raise ValueError(f"no unique meet for ({a},{b})")
-        return maxs[0]
-
-    join = [lub(a, b) for a in range(size) for b in range(size)]
-    meet = [glb(a, b) for a in range(size) for b in range(size)]
-    tops = [x for x in range(size) if all(leq[x][y] for y in range(size))]
-    if len(tops) != 1:
+    lower = [[] for _ in range(size)]
+    waiting = [0] * size  # upper covers of each element not closed yet
+    for lo, hi in covers:
+        lower[hi].append(lo)
+        waiting[lo] += 1
+    up = [1 << x for x in range(size)]
+    done = [x for x in range(size) if not waiting[x]]
+    for x in done:  # grows: an element is closed once its upper covers are
+        for lo in lower[x]:
+            up[lo] |= up[x]
+            waiting[lo] -= 1
+            if not waiting[lo]:
+                done.append(lo)
+    if len(done) < size:
+        raise ValueError("covering pairs form a cycle")
+    down = [1 << x for x in range(size)]
+    for x in reversed(done):  # lower covers first
+        for lo in lower[x]:
+            down[x] |= down[lo]
+    join, meet = bound_table(up), bound_table(down)
+    for name, table in (("join", join), ("meet", meet)):
+        if None in table:
+            a, b = divmod(table.index(None), size)
+            raise ValueError(f"no unique {name} for ({a},{b})")
+    if not done:
         raise ValueError("no unique top")
-    return fin_algebra(
-        size,
-        [("meet", 2, meet), ("join", 2, join)],
-        join,
-        top=tops[0],
-    )
+    # done[0] has nothing above it: as joins exist, it is the top.
+    return FinAlgebra(size, (Operation("meet", 2, meet), Operation("join", 2, join)), join, done[0])
 
 
 def chain(n: int) -> FinAlgebra:
@@ -57,17 +51,13 @@ def chain(n: int) -> FinAlgebra:
 
 
 def product(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
-    """Direct product of two lattice algebras, elements ordered pairwise."""
-    elems = list(itertools.product(range(a.size), range(b.size)))
-    index = {e: i for i, e in enumerate(elems)}
-    covers = []
-    for (xa, xb), i in index.items():
-        for (ya, yb), j in index.items():
-            da = a.leq(xa, ya) and xa != ya
-            db = b.leq(xb, yb) and xb != yb
-            if (da and xb == yb) or (db and xa == ya):
-                covers.append((i, j))
-    return lattice_from_covers(len(elems), covers)
+    """Direct product of two lattice algebras, elements ordered pairwise:
+    (x, y) is element ``x * b.size + y``, and its upper covers raise one
+    coordinate to an upper cover in its factor."""
+    m, ua, ub = b.size, _upper_covers(a), _upper_covers(b)
+    covers = [(x * m + y, c * m + y) for x in range(a.size) for c in ua[x] for y in range(m)]
+    covers += [(x * m + y, x * m + c) for x in range(a.size) for y in range(m) for c in ub[y]]
+    return lattice_from_covers(a.size * m, covers)
 
 
 def n5() -> FinAlgebra:

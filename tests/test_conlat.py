@@ -62,6 +62,20 @@ def test_partition_lattice_ops():
     assert not refines(a, b)
 
 
+def test_refines_reads_the_block_arrays():
+    parts = list(all_partitions(5))
+    assert len(parts) == 52
+    for a, b in itertools.product(parts, repeat=2):
+        assert refines(a, b) == (part_join(a, b) == b)
+    # Listing a Con A that is no lattice's adds only the join closure's
+    # part_join entries: its masks come from refines.
+    algebras = [L for _, L in join_only_algebras()] + [swapped_square()]
+    part_join.cache_clear()
+    for L in algebras:
+        all_congruences.__wrapped__(L)  # past the memo, which earlier tests filled
+    assert part_join.cache_info().currsize == 650
+
+
 def test_all_partitions_count():
     bell = [1, 1, 2, 5, 15, 52, 203]
     for n in range(7):
@@ -756,6 +770,17 @@ def test_join_only_algebras_include_nondistributive_con():
         con = L.con_index
         unions = all(ma | mb in con.by_mask for ma in con.jmask for mb in con.jmask)
         assert is_distributive(conc(L).table) == unions, name
+
+
+def test_algebra_zero_is_the_element_below_every_element():
+    two_atoms = fin_algebra(3, [], [0, 2, 2, 2, 1, 2, 2, 2, 2])  # no least element
+    algebras = oracle_algebras() + join_only_algebras()
+    algebras += [("swapped-square", swapped_square()), ("two-atoms", two_atoms)]
+    for name, L in algebras:
+        n = L.size
+        neutral = [e for e in range(n) if all(L.join_of(e, x) == x for x in range(n))]
+        assert conlat.algebra_zero(L) == next(iter(neutral), None), name
+    assert conlat.algebra_zero(two_atoms) is None
 
 
 def covering_pairs(L):
