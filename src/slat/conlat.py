@@ -384,6 +384,7 @@ class Congruences:
     def __init__(self, cons: tuple, jmask: tuple):
         self.cons, self.jmask = cons, jmask
         self.by_mask = {m: i for i, m in enumerate(jmask)}
+        self.bounds = {}  # a union that is no congruence's mask to its join's index
         self.pmask = ()
 
     def __len__(self) -> int:
@@ -397,9 +398,11 @@ class Congruences:
         above the join, so its mask holds the join's, and strictly when it
         is another congruence, since the masks are distinct."""
         i = self.by_mask.get(m)
+        if i is None:
+            i = self.bounds.get(m)
         if i is None:  # compress, not a generator: a closure cell for m slows every call
             ups = itertools.compress(self.jmask, map(m.__eq__, map(m.__and__, self.jmask)))
-            i = self.by_mask[min(ups, key=int.bit_count)]
+            i = self.bounds[m] = self.by_mask[min(ups, key=int.bit_count)]
         return i
 
 
@@ -503,8 +506,8 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     every pair.  The Θ are taken finest first (a strictly finer partition
     has more blocks); one that is not yet a join of those before it is
     join-irreducible, and the join closure grows by joining it with every
-    congruence found so far.  Each congruence's mask sets the
-    join-irreducibles that refine it.
+    congruence found so far.  A congruence c's mask sets each
+    join-irreducible Θ(x, y) whose generating pair c relates.
 
     With a join among the basic operations, ``pmask`` comes from the masks
     of the covers (see ``_fill_pmask``); otherwise from the Θ of each pair.
@@ -520,13 +523,14 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     else:
         pairs = [(min(a, b), max(a, b)) for a in range(n) for b in upper[a]]
     thetas = [theta(L, x, y) for x, y in pairs]
+    gens = dict(zip(thetas, pairs))  # one generating pair for each distinct Θ
     found, irr = {identity_congruence(n)}, []
-    for g in sorted(dict.fromkeys(thetas), key=lambda c: -max(c.block_of)):
+    for g in sorted(gens, key=lambda c: -max(c.block_of)):
         if g not in found:
-            irr.append(g)
+            irr.append(gens[g])
             found |= {part_join(c, g) for c in found}
     cons = tuple(sorted(found, key=lambda c: c.block_of))
-    jmask = tuple(sum(1 << g for g, j in enumerate(irr) if refines(j, c)) for c in cons)
+    jmask = tuple(sum(1 << g for g, (x, y) in enumerate(irr) if c.relates(x, y)) for c in cons)
     con = Congruences(cons, jmask)
     mask = dict(zip(cons, jmask))
     pmask = [None] * (n * n)
@@ -542,10 +546,13 @@ def all_congruences(L: FinAlgebra) -> Congruences:
 @lru_cache(maxsize=None)
 def check_congruence_compatible(L: FinAlgebra) -> bool:
     """Whether every congruence of L is compatible with the designated join:
-    true by definition when the join is a basic operation."""
+    true by definition when the join is a basic operation.  Otherwise the
+    principal congruences suffice: a table that respects two equivalences
+    respects their join, and every congruence is a join of principal ones."""
     if L.join_name is not None:
         return True
-    return all(is_compatible(L, c, table=L.join) for c in all_congruences(L).cons)
+    con = L.con_index
+    return all(is_compatible(L, con.cons[con.by_mask[m]], table=L.join) for m in set(con.pmask))
 
 
 # ---------------------------------------------------------------------------
@@ -736,16 +743,14 @@ def permutability(L: FinAlgebra, m: int) -> bool:
     relational composition."""
     if m < 1:
         raise ValueError("m must be positive")
-    cons = all_congruences(L).cons
-    for a in cons:
-        ra = _relation_masks(a)
-        for b in cons:
-            rb = _relation_masks(b)
-            target = _relation_masks(part_join(a, b))
+    con = L.con_index
+    rel = [_relation_masks(c) for c in con.cons]
+    for ma, ra in zip(con.jmask, rel):
+        for mb, rb in zip(con.jmask, rel):
             acc = ra
             for idx in range(1, m + 1):
                 acc = _compose_masks(acc, rb if idx % 2 else ra, L.size)
-            if acc != target:
+            if acc != rel[con.join(ma | mb)]:
                 return False
     return True
 

@@ -3,20 +3,21 @@ generated semilattice plus parity-indexed chains.
 
 An instance bundles an algebra L with top, elements t_r, chains
 z[r][i][xi] from t_r up to the top (one per generator name xi), and a
-map mu from principal congruences of L into the generated semilattice,
-extended to arbitrary congruences by joining the listed values below
-them.  The validator itemizes every premise; the equality checks
-E_r(X, Y) and the quantified statements P(k, l) evaluate the chain data
-directly and report failures as data, not errors.
+map mu from principal congruences of L (masks over J(Con L)) into the
+generated semilattice, extended to arbitrary congruences by joining the
+listed values below them.  The validator itemizes every premise; the
+equality checks E_r(X, Y) and the quantified statements P(k, l)
+evaluate the chain data directly and report failures as data, not errors.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import conlat, expr, freepairs
-from .conlat import Congruence, FinAlgebra, FormatError, epsilon
+from .conlat import FinAlgebra, FormatError, epsilon
 
 
 @dataclass
@@ -25,7 +26,6 @@ class DescentInstance:
     omega: tuple
     t: tuple
     z: dict
-    mu: dict
     mu_lines: tuple
     u_set: tuple
     _mu_hat_memo: dict = field(default_factory=dict, repr=False)
@@ -44,17 +44,22 @@ class DescentInstance:
         except KeyError:
             raise ValueError(f"missing z entry (r={r}, i={i}, xi={xi})") from None
 
-    def mu_hat(self, c: Congruence):
-        """mu extended by joins: the join of listed values below c."""
-        if c not in self._mu_hat_memo:
-            self._mu_hat_memo[c] = freepairs.join_all(
-                self.mu[p] for p in sorted(self.mu, key=lambda q: q.block_of)
-                if conlat.refines(p, c)
-            )
-        return self._mu_hat_memo[c]
+    @cached_property
+    def mu(self) -> dict:
+        """Each listed pair's Θ(x, y), as a mask, to its value: the first listing
+        wins (it is read last); conflicting duplicates are a validator finding."""
+        pmask, n = self.algebra.con_index.pmask, self.algebra.size
+        return {pmask[x * n + y]: value for x, y, value in reversed(self.mu_lines)}
+
+    def mu_hat(self, m: int):
+        """mu extended by joins: the join of the listed values whose key lies
+        inside the congruence mask m."""
+        if m not in self._mu_hat_memo:
+            self._mu_hat_memo[m] = freepairs.join_all(v for p, v in self.mu.items() if p & ~m == 0)
+        return self._mu_hat_memo[m]
 
     def mu_theta(self, x: int, y: int):
-        return self.mu_hat(conlat.theta(self.algebra, x, y))
+        return self.mu_hat(self.algebra.con_index.pmask[x * self.algebra.size + y])
 
 
 @dataclass
@@ -131,24 +136,17 @@ def validate_instance(D: DescentInstance) -> Report:
     )
 
     con = L.con_index
-    cons = con.cons
-    hom_ok = True
-    witness = ""
-    for i, c1 in enumerate(cons):
-        for j, c2 in enumerate(cons):
-            lhs = D.mu_hat(cons[con.join(con.jmask[i] | con.jmask[j])])
-            rhs = freepairs.join(D.mu_hat(c1), D.mu_hat(c2))
-            if lhs != rhs:
-                hom_ok = False
-                witness = f"{c1.serialize()} v {c2.serialize()}"
-                break
-        if not hom_ok:
-            break
-    rep.add("mu-join-homomorphism", hom_ok, witness)
-    rep.add(
-        "mu-zero",
-        D.mu_hat(conlat.identity_congruence(L.size)) == freepairs.ZERO,
+    masks = con.jmask
+    witness = next(
+        (
+            f"{con.cons[i].serialize()} v {con.cons[j].serialize()}"
+            for (i, a), (j, b) in itertools.product(enumerate(masks), repeat=2)
+            if D.mu_hat(masks[con.join(a | b)]) != freepairs.join(D.mu_hat(a), D.mu_hat(b))
+        ),
+        "",
     )
+    rep.add("mu-join-homomorphism", not witness, witness)
+    rep.add("mu-zero", D.mu_hat(0) == freepairs.ZERO)  # mask 0: the identity congruence
 
     decomposition = freepairs.join_all(
         D.mu_theta(D.t[r], top) for r in range(D.m)
@@ -168,12 +166,7 @@ def validate_instance(D: DescentInstance) -> Report:
                     bad.append(f"(r={r},i={i},xi={xi})")
     rep.add("chain-bounds", not bad, "; ".join(bad))
 
-    separated = all(
-        D.mu_hat(c) != freepairs.ZERO
-        for c in cons
-        if c != conlat.identity_congruence(L.size)
-    )
-    rep.add("mu-separates-zero", separated)
+    rep.add("mu-separates-zero", all(D.mu_hat(m) != freepairs.ZERO for m in masks if m))
     return rep
 
 
@@ -278,21 +271,23 @@ def parse_instance(text: str) -> DescentInstance:
         },
     )
     L = algebra.algebra()
+    elements = [(f"t {r}", e) for r, e in t_entries.items()]
+    elements += [("z %d %d %s" % key, e) for key, e in z.items()]
+    elements += [(f"mu {x} {y}", e) for x, y, _ in mu_lines for e in (x, y)]
+    for entry, e in elements:
+        if not 0 <= e < L.size:
+            raise FormatError(f"{entry}: element {e} not in 0..{L.size - 1}")
     if sorted(t_entries) != list(range(len(t_entries))) or not t_entries:
         raise FormatError("t lines must cover 0..m-1")
     t = tuple(t_entries[r] for r in range(len(t_entries)))
     if not z:
         raise FormatError("no z lines")
     omega = tuple(sorted({xi for (_, _, xi) in z}))
-    mu = {}
-    for x, y, value in mu_lines:
-        # first listing wins; conflicting duplicates are a validator finding
-        mu.setdefault(conlat.theta(L, x, y), value)
     if u_names is None:
         u_names = omega
     if not set(u_names) <= set(omega):
         raise FormatError("U mentions names outside the z lines")
-    return DescentInstance(L, omega, t, z, mu, tuple(mu_lines), u_names)
+    return DescentInstance(L, omega, t, z, tuple(mu_lines), u_names)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,29 @@ def test_descent_commands(capsys, fixture_file):
     assert code == 0 and out == "P(0,0) true instances=1\n"
 
 
+@pytest.mark.parametrize("command", [["validate"], ["er", "0", "0", "u", "-"], ["p", "0", "0"]])
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("t 0 0", "t 0 7", "t 0: element 7 not in 0..3"),
+        ("t 0 0", "t 0 -2", "t 0: element -2 not in 0..3"),
+        ("z 0 1 u 1", "z 0 1 u -1", "z 0 1 u: element -1 not in 0..3"),
+        ("z 0 1 u 1", "z 0 1 u 9", "z 0 1 u: element 9 not in 0..3"),
+        ("mu 0 3 1", "mu 0 9 1", "mu 0 9: element 9 not in 0..3"),
+        ("mu 0 3 1", "mu -1 2 1", "mu -1 2: element -1 not in 0..3"),
+    ],
+)
+def test_descent_elements_outside_the_carrier_exit_2(capsys, tmp_path, command, old, new, message):
+    # Each t, z and mu element must lie in 0..k-1: no IndexError, no
+    # wrap-around through negative indexing, no silent pass.
+    assert descent.FIXTURE.count(old) == 1
+    path = tmp_path / "bad.dsc"
+    path.write_text(descent.FIXTURE.replace(old, new))
+    code, out, err = run(capsys, "descent", str(path), *command)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_descent_mutated_validate(capsys, tmp_path):
     mutated = descent.MUTATIONS[0].apply(descent.FIXTURE)
     path = tmp_path / "bad.dsc"

@@ -5,14 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from slat import conlat, corpus
+from slat import conlat, corpus, descent
 from slat.cli import main
 from slat.conlat import (
+    FinAlgebra,
     FormatError,
     all_congruences,
     all_partitions,
     check_congruence_compatible,
     conc,
+    congruence_from_blockof,
     congruence_from_blocks,
     epsilon,
     erosion,
@@ -503,6 +505,80 @@ def test_permutability():
         permutability(corpus.chain(2), 0)
 
 
+def permutability_oracle(L, m):
+    """permutability on partitions: each congruence as a set of pairs, each
+    composition pair by pair, and the join by part_join."""
+    cons = all_congruences(L).cons
+    rel = {c: {(x, y) for x, y in itertools.product(range(L.size), repeat=2) if c.relates(x, y)}
+           for c in cons}
+    block = {c: [[z for z in range(L.size) if c.relates(y, z)] for y in range(L.size)] for c in cons}
+    for a, b in itertools.product(cons, repeat=2):
+        acc = rel[a]
+        for idx in range(1, m + 1):
+            step = block[b if idx % 2 else a]
+            acc = {(x, z) for x, y in acc for z in step[y]}
+        if acc != rel[part_join(a, b)]:
+            return False
+    return True
+
+
+def test_permutability_matches_the_partition_oracle():
+    algebras = corpus_and_products() + join_only_algebras() + unary_algebras()
+    algebras += [("swapped-square", swapped_square())]
+    algebras += [(f"bare{n}", bare_chain(n)) for n in (3, 4, 5)]
+    verdicts = set()
+    for name, L in algebras:
+        for m in (1, 2, 3):
+            verdict = permutability(L, m)
+            assert verdict == permutability_oracle(L, m), (name, m)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_compatibility_of_the_principal_congruences_decides():
+    # With the designated join not a basic operation, only the principal
+    # congruences are tested; every congruence is a join of them.
+    algebras = [(f"bare{n}", bare_chain(n)) for n in range(1, 6)]
+    algebras += [
+        (f"{name}-meet", fin_algebra(L.size, [("meet", 2, L.ops[0].table)], L.join, top=L.top))
+        for name, L in corpus.bundled_corpus()
+        if L.size > 1
+    ]
+    verdicts = set()
+    for name, L in algebras:
+        assert L.join_name is None, name
+        full = all(is_compatible(L, c, table=L.join) for c in L.con_index.cons)
+        assert check_congruence_compatible.__wrapped__(L) == full, name
+        verdicts.add(full)
+    assert verdicts == {True, False}
+
+
+def test_readers_of_con_a_read_its_masks(monkeypatch):
+    # Outside its construction, Con A is read through L.con_index: its
+    # readers join no partitions, close no Θ and compare no partitions.
+    L = corpus.product(corpus.chain(3), corpus.m3())
+    bare = bare_chain(4)
+    D = descent.fixture()
+    for A in (L, bare, D.algebra):
+        A.con_index
+    join_only = fin_algebra(L.size, [("join", 2, L.join)], L.join, top=L.top)
+    build = all_congruences.__wrapped__
+
+    def forbidden(*args):
+        raise AssertionError("a partition operation was called")
+
+    # The closure path closes Θ and joins partitions, but its masks read
+    # each join-irreducible's generating pair.
+    monkeypatch.setattr(conlat, "refines", forbidden)
+    assert build(join_only).jmask == all_congruences(join_only).jmask
+    for name in ("part_join", "theta", "all_congruences"):
+        monkeypatch.setattr(conlat, name, forbidden)
+    for m in (1, 2, 3):
+        permutability(L, m)
+    assert not check_congruence_compatible.__wrapped__(bare)
+    assert descent.validate_instance(D).ok
+
+
 # -- erosion ------------------------------------------------------------------
 
 
@@ -764,12 +840,14 @@ def test_join_only_algebras_include_nondistributive_con():
     assert len(algebras) == 21 and len(flat) == 15
     # Con A is a lattice of sets exactly when its masks are closed under
     # union, so Congruences.join scans for the least upper bound on every
-    # algebra whose Con A is not distributive, and on those alone.
+    # algebra whose Con A is not distributive, and on those alone.  Each
+    # union it scans is kept in bounds, apart from by_mask.
     square = [("swapped-square", swapped_square())]
     for name, L in corpus_and_products() + algebras + square:
         con = L.con_index
-        unions = all(ma | mb in con.by_mask for ma in con.jmask for mb in con.jmask)
-        assert is_distributive(conc(L).table) == unions, name
+        unions = {ma | mb for ma in con.jmask for mb in con.jmask}
+        assert is_distributive(conc(L).table) == (unions <= con.by_mask.keys()), name
+        assert con.bounds.keys() == unions - con.by_mask.keys(), name
 
 
 def test_algebra_zero_is_the_element_below_every_element():
@@ -830,8 +908,12 @@ def swapped_square():
 def test_con_index_matches_the_partition_operations():
     square = [("swapped-square", swapped_square())]
     for name, L in corpus_and_products() + join_only_algebras() + square:
-        con = L.con_index
-        assert con is all_congruences(L)
+        # A copy built here reads con_index first, so all_congruences has
+        # not been cleared since: another test may have done so after the
+        # corpus lattices cached theirs.
+        A = FinAlgebra(L.size, L.ops, L.join, L.top)
+        con = A.con_index
+        assert con is all_congruences(A)
         cons = con.cons
         assert len(con) == len(cons)
         for i, c1 in enumerate(cons):
@@ -960,14 +1042,42 @@ def dependency_lattices():
     return out
 
 
+def product_congruence(parts):
+    """The product of congruences of the factors of a lattice built by
+    nesting corpus.product from the left, whose elements are the factor
+    tuples in itertools.product order."""
+    return congruence_from_blockof(itertools.product(*(c.block_of for c in parts)))
+
+
+def assert_fraser_horn(name, L, factors):
+    """Check Con L and every pmask entry of a product of lattices against
+    its factors' (Fraser-Horn): Con L is every product θ × φ × ... of
+    congruences of the factors, and Θ of two tuples is the product of
+    the coordinates' Θ."""
+    con = all_congruences(L)
+    expected = map(product_congruence, itertools.product(*map(principal_closure, factors)))
+    assert con.cons == tuple(sorted(expected, key=lambda c: c.block_of)), name
+    mask = dict(zip(con.cons, con.jmask))
+    coords = list(itertools.product(*(range(F.size) for F in factors)))
+    for (x, cx), (y, cy) in itertools.product(enumerate(coords), repeat=2):
+        thetas = [theta(F, a, b) for F, a, b in zip(factors, cx, cy)]
+        assert con.pmask[x * L.size + y] == mask[product_congruence(thetas)], (name, x, y)
+
+
 def test_dependency_relation_matches_the_principal_closure():
     # all_congruences reads Con L off Freese's dependency relation, with no
     # Θ closed: check the list, every pmask entry and the number of
     # J(Con L) (the classes of D*) against the closures of Θ.
     lattices = dependency_lattices()
     assert len(lattices) == 28 + 67 + 2 + 2 + 2
+    m3 = corpus.m3()
     for name, L in lattices:
         con = all_congruences(L)
+        if name == "m3*m3*chain3":
+            # 75 elements: closing Θ on every pair would take seconds.
+            assert_fraser_horn(name, L, (m3, m3, corpus.chain(3)))
+            assert con.jmask[0].bit_count() == 1 + 1 + 2  # |J(Con)| of m3, m3 and chain(3)
+            continue
         assert con.cons == principal_closure(L), name
         assert_pmask_is_theta(name, L, itertools.product(range(L.size), repeat=2))
         pairs = covering_pairs(L)

@@ -70,7 +70,25 @@ def test_mu_extension():
     D = fixture()
     assert D.mu_theta(0, 3) == freepairs.ONE
     assert D.mu_theta(1, 3) == freepairs.gen(1, "u")
-    assert D.mu_hat(conlat.identity_congruence(4)) == freepairs.ZERO
+    assert D.mu_hat(0) == freepairs.ZERO  # the identity congruence's mask
+
+
+def mu_hat_oracle(D, c):
+    """mu extended by joins, on partitions: the join of the first listed
+    value of each principal congruence that refines c."""
+    mu = {}
+    for x, y, value in D.mu_lines:
+        mu.setdefault(conlat.theta(D.algebra, x, y), value)
+    return freepairs.join_all(v for p, v in mu.items() if conlat.refines(p, c))
+
+
+def test_mu_hat_on_masks_matches_the_partition_oracle():
+    texts = [FIXTURE] + [mut.apply(FIXTURE) for mut in MUTATIONS]
+    for text in texts:
+        D = parse_instance(text)
+        con = D.algebra.con_index
+        for m, c in zip(con.jmask, con.cons):
+            assert D.mu_hat(m) == mu_hat_oracle(D, c), (text, c)
 
 
 def test_check_er():
@@ -82,6 +100,12 @@ def test_check_er():
         check_er(D, 0, 0, {"u"}, {"u"})
     with pytest.raises(ValueError):
         check_er(D, 0, 5, {"u"}, set())
+
+
+def test_er_and_p_do_not_build_con_l():
+    D = fixture()
+    assert check_er(D, 0, 0, {"u"}, set()) and check_p(D, 0, 0).ok
+    assert "con_index" not in vars(D.algebra)
 
 
 def test_check_p_consistency_with_er():
@@ -126,12 +150,12 @@ def test_phi_monotone_and_direct_enumeration():
                 assert phi_from_instance(D, small) <= phi_from_instance(D, big)
     # direct recomputation
     S = sorted(s_of(D, ("u",)))
+    con = D.algebra.con_index
     expected = set()
     for x in S:
         for y in S:
-            expected |= freepairs.support(
-                D.mu_hat(conlat.theta(D.algebra, x, y))
-            )
+            mask = con.jmask[con.cons.index(conlat.theta(D.algebra, x, y))]
+            expected |= freepairs.support(D.mu_hat(mask))
     assert phi_from_instance(D, ("u",)) == frozenset(expected)
 
 
