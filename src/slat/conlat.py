@@ -153,6 +153,18 @@ class FinAlgebra:
         return all_congruences(self)
 
     @cached_property
+    def join_compatible(self) -> bool:
+        """Whether every congruence is compatible with the designated join:
+        true by definition when the join is a basic operation.  Otherwise the
+        principal congruences suffice: a table that respects two equivalences
+        respects their join, and every congruence is a join of principal ones."""
+        if self.join_name is not None:
+            return True
+        con = self.con_index
+        principal = (con.cons[con.by_mask[m]] for m in set(con.pmask))
+        return all(is_compatible(self, c, table=self.join) for c in principal)
+
+    @cached_property
     def join_name(self) -> str | None:
         """The basic binary operation whose table is the designated join, if any."""
         ops = (op.name for op in self.ops if op.arity == 2 and op.table == self.join)
@@ -171,6 +183,24 @@ class FinAlgebra:
                     up[a] |= 1 << b
                     down[b] |= 1 << a
         return down, up
+
+    @cached_property
+    def covers(self) -> tuple:
+        """For each element a, the elements that cover a in the order of the
+        designated join, in increasing label order."""
+        n, (down, up) = self.size, self.order
+        # b covers a when the interval from a to b holds a and b alone.
+        return tuple(
+            tuple(b for b in range(n) if b != a and up[a] & down[b] == 1 << a | 1 << b)
+            for a in range(n)
+        )
+
+    @cached_property
+    def zero(self) -> int | None:
+        """The neutral element of the designated join, if one exists: the
+        element whose up-set holds every element."""
+        full = (1 << self.size) - 1
+        return next((e for e, u in enumerate(self.order[1]) if u == full), None)
 
     @cached_property
     def meet_name(self) -> str | None:
@@ -212,13 +242,12 @@ class FinAlgebra:
     def leq(self, a: int, b: int) -> bool:
         return self.join_of(a, b) == b
 
-    def join_all(self, items, empty=None) -> int:
+    def join_all(self, items) -> int:
+        """The join of items; of no items, the zero if there is one."""
         items = list(items)
-        if not items:
-            if empty is None:
-                raise freedist.DomainError("empty join with no zero element")
-            return empty
-        return reduce(self.join_of, items)
+        if not items and self.zero is None:
+            raise freedist.DomainError("empty join with no zero element")
+        return reduce(self.join_of, items) if items else self.zero
 
 
 def bound_table(masks) -> tuple:
@@ -281,13 +310,6 @@ def fin_algebra(size, ops, join, top=None) -> FinAlgebra:
     if top is not None and not (0 <= top < size):
         raise ValueError("top out of range")
     return FinAlgebra(size, ops, join, top)
-
-
-def algebra_zero(L: FinAlgebra) -> int | None:
-    """The neutral element of the designated join, if one exists: the
-    element whose up-set holds every element."""
-    full = (1 << L.size) - 1
-    return next((e for e, u in enumerate(L.order[1]) if u == full), None)
 
 
 # ---------------------------------------------------------------------------
@@ -406,22 +428,12 @@ class Congruences:
         return i
 
 
-def _upper_covers(L: FinAlgebra) -> list:
-    """For each element a, the elements that cover a in the order of the
-    designated join, in increasing label order."""
-    n, (down, up) = L.size, L.order
-    # b covers a when the interval from a to b holds a and b alone.
-    return [
-        [b for b in range(n) if b != a and up[a] & down[b] == 1 << a | 1 << b] for a in range(n)
-    ]
-
-
-def _fill_pmask(L: FinAlgebra, upper: list, pmask: list, close) -> None:
+def _fill_pmask(L: FinAlgebra, pmask: list, close) -> None:
     """Fill ``pmask`` from the masks of the covers in it: that of a < b is the
     join of those of a ≺ c and c < b, c the first cover of a below b (fewer
     above first, so c < b is known), and that of x, y is the join of those
     of x < x v y and y < x v y.  ``close`` takes a union to the join."""
-    n, join, up = L.size, L.join, L.order[1]
+    n, join, up, upper = L.size, L.join, L.order[1], L.covers
     for a in sorted(range(n), key=lambda a: up[a].bit_count()):
         for b in range(n):
             if pmask[a * n + b] is None and up[a] >> b & 1:
@@ -434,10 +446,10 @@ def _fill_pmask(L: FinAlgebra, upper: list, pmask: list, close) -> None:
             pmask[x * n + y] = pmask[y * n + x] = close(pmask[x * n + s] | pmask[y * n + s])
 
 
-def _lattice_congruences(L: FinAlgebra, upper: list) -> Congruences:
+def _lattice_congruences(L: FinAlgebra) -> Congruences:
     """Con L of a lattice from Freese's dependency relation on J(L), with
     no partition closure (see ``all_congruences``)."""
-    n, join, (down, up) = L.size, L.join, L.order
+    n, join, (down, up), upper = L.size, L.join, L.order, L.covers
     lower = [[a for a in range(n) if b in upper[a]] for b in range(n)]
     irr = [j for j in range(n) if len(lower[j]) == 1]  # J(L); j_* is lower[j][0]
     jbits = sum(1 << j for j in irr)
@@ -478,7 +490,7 @@ def _lattice_congruences(L: FinAlgebra, upper: list) -> Congruences:
         cons.append(congruence_from_blockof(block))
     order = sorted(range(len(cons)), key=lambda i: cons[i].block_of)
     con = Congruences(tuple(cons[i] for i in order), tuple(masks[i] for i in order))
-    _fill_pmask(L, upper, pmask, lambda m: m)
+    _fill_pmask(L, pmask, lambda m: m)
     con.pmask = tuple(pmask)
     return con
 
@@ -512,16 +524,15 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     With a join among the basic operations, ``pmask`` comes from the masks
     of the covers (see ``_fill_pmask``); otherwise from the Θ of each pair.
     """
-    n = L.size
-    upper = None if L.join_name is None else _upper_covers(L)
+    n, joined = L.size, L.join_name is not None
     meet = next((op.table for op in L.ops if op.name == L.meet_name), None)
     pure = meet is not None and all(op.arity == 2 and op.table in (L.join, meet) for op in L.ops)
-    if upper is not None and pure:
-        return _lattice_congruences(L, upper)
-    if upper is None:
-        pairs = list(itertools.combinations(range(n), 2))
+    if joined and pure:
+        return _lattice_congruences(L)
+    if joined:
+        pairs = [(min(a, b), max(a, b)) for a in range(n) for b in L.covers[a]]
     else:
-        pairs = [(min(a, b), max(a, b)) for a in range(n) for b in upper[a]]
+        pairs = list(itertools.combinations(range(n), 2))
     thetas = [theta(L, x, y) for x, y in pairs]
     gens = dict(zip(thetas, pairs))  # one generating pair for each distinct Θ
     found, irr = {identity_congruence(n)}, []
@@ -537,22 +548,16 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     pmask[:: n + 1] = [0] * n  # Θ(x, x) is the identity congruence
     for (x, y), c in zip(pairs, thetas):
         pmask[x * n + y] = pmask[y * n + x] = mask[c]
-    if upper is not None:
-        _fill_pmask(L, upper, pmask, lambda m: jmask[con.join(m)])
+    if joined:
+        _fill_pmask(L, pmask, lambda m: jmask[con.join(m)])
     con.pmask = tuple(pmask)
     return con
 
 
-@lru_cache(maxsize=None)
 def check_congruence_compatible(L: FinAlgebra) -> bool:
-    """Whether every congruence of L is compatible with the designated join:
-    true by definition when the join is a basic operation.  Otherwise the
-    principal congruences suffice: a table that respects two equivalences
-    respects their join, and every congruence is a join of principal ones."""
-    if L.join_name is not None:
-        return True
-    con = L.con_index
-    return all(is_compatible(L, con.cons[con.by_mask[m]], table=L.join) for m in set(con.pmask))
+    """Whether every congruence of L is compatible with the designated join
+    (see ``FinAlgebra.join_compatible``)."""
+    return L.join_compatible
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +575,6 @@ class SemilatticeTable:
 
     def leq(self, a: int, b: int) -> bool:
         return self.join_of(a, b) == b
-
-    def join_all(self, items) -> int:
-        return reduce(self.join_of, items, self.zero)
 
 
 def semilattice(size, join, zero) -> SemilatticeTable:

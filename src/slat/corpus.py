@@ -1,11 +1,11 @@
 """Lattices as table algebras: built from covering pairs, chains, direct
-products, and a bundled corpus of 21 small lattices (size <= 6)."""
+products, glued sums, and a bundled corpus of 21 small lattices (size <= 6)."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .conlat import FinAlgebra, Operation, _upper_covers, bound_table
+from .conlat import FinAlgebra, Operation, bound_table
 
 
 def lattice_from_covers(size: int, covers) -> FinAlgebra:
@@ -54,7 +54,7 @@ def product(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
     """Direct product of two lattice algebras, elements ordered pairwise:
     (x, y) is element ``x * b.size + y``, and its upper covers raise one
     coordinate to an upper cover in its factor."""
-    m, ua, ub = b.size, _upper_covers(a), _upper_covers(b)
+    m, ua, ub = b.size, a.covers, b.covers
     covers = [(x * m + y, c * m + y) for x in range(a.size) for c in ua[x] for y in range(m)]
     covers += [(x * m + y, x * m + c) for x in range(a.size) for y in range(m) for c in ub[y]]
     return lattice_from_covers(a.size * m, covers)
@@ -84,14 +84,21 @@ def hexagon() -> FinAlgebra:
     )
 
 
-def relabel_shift(covers, by):
-    return [(a + by, b + by) for a, b in covers]
+def glued_sum(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
+    """The glued sum of two lattice algebras: b above a, with a's top
+    identified with b's zero.  a keeps its labels, and b's other elements
+    follow in label order."""
+    label = list(range(a.size, a.size + b.size - 1))
+    label.insert(b.zero, a.top)
+    covers = [(x, c) for x in range(a.size) for c in a.covers[x]]
+    covers += [(label[y], label[c]) for y in range(b.size) for c in b.covers[y]]
+    return lattice_from_covers(a.size + b.size - 1, covers)
 
 
 @lru_cache(maxsize=None)
 def bundled_corpus() -> tuple:
     """(name, lattice) pairs; >= 20 lattices, all of size <= 6."""
-    square = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    square = product(chain(2), chain(2))
     entries = [
         ("chain1", chain(1)),
         ("chain2", chain(2)),
@@ -99,42 +106,20 @@ def bundled_corpus() -> tuple:
         ("chain4", chain(4)),
         ("chain5", chain(5)),
         ("chain6", chain(6)),
-        ("2x2", product(chain(2), chain(2))),
+        ("2x2", square),
         ("2x3", product(chain(2), chain(3))),
         ("n5", n5()),
         ("m3", m3()),
         ("m4", m4()),
         ("hexagon", hexagon()),
-        ("2x2_top", lattice_from_covers(5, square + [(3, 4)])),
-        ("2x2_bot", lattice_from_covers(5, [(0, 1)] + relabel_shift(square, 1))),
-        (
-            "2x2_bounds",
-            lattice_from_covers(6, [(0, 1)] + relabel_shift(square, 1) + [(4, 5)]),
-        ),
-        ("2x2_tower", lattice_from_covers(6, square + [(3, 4), (4, 5)])),
-        (
-            "m3_top",
-            lattice_from_covers(
-                6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (4, 5)]
-            ),
-        ),
-        (
-            "m3_bot",
-            lattice_from_covers(
-                6, [(0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)]
-            ),
-        ),
-        (
-            "n5_top",
-            lattice_from_covers(6, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4), (4, 5)]),
-        ),
-        (
-            "n5_bot",
-            lattice_from_covers(6, [(0, 1), (1, 2), (2, 3), (3, 5), (1, 4), (4, 5)]),
-        ),
-        (
-            "parallel22",
-            lattice_from_covers(6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)]),
-        ),
+        ("2x2_top", glued_sum(square, chain(2))),
+        ("2x2_bot", glued_sum(chain(2), square)),
+        ("2x2_bounds", glued_sum(glued_sum(chain(2), square), chain(2))),
+        ("2x2_tower", glued_sum(square, chain(3))),
+        ("m3_top", glued_sum(m3(), chain(2))),
+        ("m3_bot", glued_sum(chain(2), m3())),
+        ("n5_top", glued_sum(n5(), chain(2))),
+        ("n5_bot", glued_sum(chain(2), n5())),
+        ("parallel22", lattice_from_covers(6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)])),
     ]
     return tuple(entries)

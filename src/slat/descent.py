@@ -181,10 +181,9 @@ def check_er(D: DescentInstance, r: int, k: int, X, Y) -> bool:
     if k < 0 or D.n - k - 1 < 0:
         raise ValueError("k out of range for the chain length")
     L = D.algebra
-    zero = conlat.algebra_zero(L)
     items = [D.z_at(r, D.n - k, xi) for xi in sorted(X)]
     items += [D.z_at(r, D.n - k - 1, eta) for eta in sorted(Y)]
-    return L.join_all(items, empty=zero) == L.top
+    return L.join_all(items) == L.top
 
 
 @dataclass
@@ -282,6 +281,11 @@ def parse_instance(text: str) -> DescentInstance:
     t = tuple(t_entries[r] for r in range(len(t_entries)))
     if not z:
         raise FormatError("no z lines")
+    for r, i, xi in z:
+        if not 0 <= r < len(t):
+            raise FormatError(f"z {r} {i} {xi}: row {r} not in 0..{len(t) - 1}")
+        if i < 0:
+            raise FormatError(f"z {r} {i} {xi}: chain index {i} below 0")
     omega = tuple(sorted({xi for (_, _, xi) in z}))
     if u_names is None:
         u_names = omega

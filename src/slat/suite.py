@@ -243,8 +243,7 @@ def _small_semilattices() -> list:
     tables = []
     for name in ("chain1", "chain2", "chain3", "chain4", "2x2"):
         L = dict(corpus.bundled_corpus())[name]
-        zero = conlat.algebra_zero(L)
-        tables.append((name, conlat.SemilatticeTable(L.size, L.join, zero)))
+        tables.append((name, conlat.SemilatticeTable(L.size, L.join, L.zero)))
     return tables
 
 

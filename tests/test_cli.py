@@ -1,9 +1,12 @@
+import contextlib
+import io
+import random
 import subprocess
 import sys
 
 import pytest
 
-from slat import conlat, corpus, descent, suite
+from slat import cli, conlat, corpus, descent, suite
 from slat.cli import main
 
 
@@ -293,10 +296,13 @@ def test_descent_commands(capsys, fixture_file):
         ("z 0 1 u 1", "z 0 1 u 9", "z 0 1 u: element 9 not in 0..3"),
         ("mu 0 3 1", "mu 0 9 1", "mu 0 9: element 9 not in 0..3"),
         ("mu 0 3 1", "mu -1 2 1", "mu -1 2: element -1 not in 0..3"),
+        ("U u", "U u\nz 1 0 u 0", "z 1 0 u: row 1 not in 0..0"),
+        ("U u", "U u\nz 0 -1 u 2", "z 0 -1 u: chain index -1 below 0"),
     ],
 )
 def test_descent_elements_outside_the_carrier_exit_2(capsys, tmp_path, command, old, new, message):
-    # Each t, z and mu element must lie in 0..k-1: no IndexError, no
+    # Each t, z and mu element must lie in 0..k-1, and each z row in
+    # 0..m-1 with a chain index of at least 0: no IndexError, no
     # wrap-around through negative indexing, no silent pass.
     assert descent.FIXTURE.count(old) == 1
     path = tmp_path / "bad.dsc"
@@ -429,3 +435,68 @@ def test_suite_deterministic_across_processes():
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith("all-passed true\n")
+
+
+def mutated(text, rng, pool):
+    """text after one to three seeded edits, each a dropped or duplicated
+    line, a line of pool inserted, or two tokens swapped."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(4)
+        if edit == 0 and lines:
+            del lines[rng.randrange(len(lines))]
+        elif edit == 1 and lines:
+            i = rng.randrange(len(lines))
+            lines.insert(i, lines[i])
+        elif edit == 2:
+            lines.insert(rng.randint(0, len(lines)), rng.choice(pool))
+        else:
+            rows = [line.split() for line in lines]
+            slots = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+            if len(slots) >= 2:
+                (i, j), (k, m) = rng.sample(slots, 2)
+                rows[i][j], rows[k][m] = rows[k][m], rows[i][j]
+                lines = [" ".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_files_exit_0_1_or_2(tmp_path, monkeypatch):
+    # Every reader, and every command on what it accepts, must answer a
+    # mutated file with an exit code and never let an exception escape.
+    # The parser is built once: building it is most of an in-process call.
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    n5 = corpus.n5()
+    S = conlat.conc(n5).table
+    sem = f"sem {S.size}\njoin {' '.join(map(str, S.join))}\nzero {S.zero}\n"
+    sem += "".join(f"map {x} {x}\n" for x in range(S.size))
+    alg, bare = tmp_path / "L.alg", tmp_path / "bare.alg"
+    mu, dsc, phi = tmp_path / "mu.sem", tmp_path / "D.dsc", tmp_path / "F.phi"
+    sources = {
+        alg: conlat.format_algebra(n5),
+        bare: "alg 3\njoin 0 1 2 1 1 2 2 2 2\ntop 2\n",
+        mu: sem,
+        dsc: descent.FIXTURE,
+        phi: "ground 0 1 2\narity 1\nphi {0} -> {1,2}\nphi {1} -> {0,2}\nphi {2} -> {0,1}\n",
+    }
+    con = ("conc", "theta 0 3", "erosion 0 1 0 1 4", "perm 2", "quotient 1 2", f"wd {mu}")
+    commands = {
+        alg: [f"con {alg} {c}" for c in con],
+        bare: [f"con {bare} {c}" for c in ("conc", "erosion 0 1 0 1 2", "quotient 0 1")],
+        mu: [f"con {alg} wd {mu}"],
+        dsc: [f"descent {dsc} {c}" for c in ("validate", "er 0 0 u -", "p 0 0")],
+        phi: [f"freeset {phi}"],
+    }
+    pool = [line for text in sources.values() for line in text.splitlines()]
+    rng = random.Random("cli:mutated-files")
+    codes = {}
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for _ in range(150):
+            for path, text in sources.items():
+                path.write_text(mutated(text, rng, pool))
+                for command in commands[path]:
+                    code = main(command.split())
+                    assert code in (0, 1, 2), (command, path.read_text())
+                    codes[code] = codes.get(code, 0) + 1
+                path.write_text(text)
+    assert set(codes) == {0, 1, 2}, codes

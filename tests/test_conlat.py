@@ -257,14 +257,19 @@ def test_congruence_compatibility():
     assert check_congruence_compatible(bare_chain(2))
 
 
-def test_cached_compatibility_still_rejects():
+def test_cached_compatibility_still_rejects(monkeypatch):
+    # The verdict is kept on the algebra: the second round rejects again
+    # and tests no partition.
+    calls = []
+    real = conlat.is_compatible
+    monkeypatch.setattr(conlat, "is_compatible", lambda *a, **k: calls.append(a) or real(*a, **k))
     L = bare_chain(3)
-    check_congruence_compatible.cache_clear()
-    for _ in range(2):
+    for first in (True, False):
+        before = len(calls)
         assert not check_congruence_compatible(L)
         with pytest.raises(DomainError, match="congruence-compatible"):
             erosion(L, 0, 0, (0, 1, 2))
-    assert check_congruence_compatible.cache_info().hits >= 3
+        assert (len(calls) > before) == first
 
 
 def test_compatibility_short_circuit_matches_the_full_check():
@@ -548,7 +553,7 @@ def test_compatibility_of_the_principal_congruences_decides():
     for name, L in algebras:
         assert L.join_name is None, name
         full = all(is_compatible(L, c, table=L.join) for c in L.con_index.cons)
-        assert check_congruence_compatible.__wrapped__(L) == full, name
+        assert check_congruence_compatible(L) == full, name
         verdicts.add(full)
     assert verdicts == {True, False}
 
@@ -575,7 +580,7 @@ def test_readers_of_con_a_read_its_masks(monkeypatch):
         monkeypatch.setattr(conlat, name, forbidden)
     for m in (1, 2, 3):
         permutability(L, m)
-    assert not check_congruence_compatible.__wrapped__(bare)
+    assert not check_congruence_compatible(bare)
     assert descent.validate_instance(D).ok
 
 
@@ -850,15 +855,32 @@ def test_join_only_algebras_include_nondistributive_con():
         assert con.bounds.keys() == unions - con.by_mask.keys(), name
 
 
-def test_algebra_zero_is_the_element_below_every_element():
+def test_zero_is_the_element_below_every_element():
     two_atoms = fin_algebra(3, [], [0, 2, 2, 2, 1, 2, 2, 2, 2])  # no least element
     algebras = oracle_algebras() + join_only_algebras()
     algebras += [("swapped-square", swapped_square()), ("two-atoms", two_atoms)]
     for name, L in algebras:
         n = L.size
         neutral = [e for e in range(n) if all(L.join_of(e, x) == x for x in range(n))]
-        assert conlat.algebra_zero(L) == next(iter(neutral), None), name
-    assert conlat.algebra_zero(two_atoms) is None
+        assert L.zero == next(iter(neutral), None), name
+        if L.zero is not None:
+            assert L.join_all(()) == L.zero, name
+    assert two_atoms.zero is None
+    with pytest.raises(DomainError, match="^empty join with no zero element$"):
+        two_atoms.join_all(())
+
+
+def test_covers_are_the_covering_pairs():
+    rng = random.Random("conlat:covers")
+    algebras = corpus_and_products() + join_only_algebras() + unary_algebras()
+    algebras += [("swapped-square", swapped_square())]
+    algebras += [
+        (f"{name}#{k}", relabeled(L, rng))
+        for name, L in corpus_and_products()[-len(PRODUCT_FACTORS):]
+        for k in range(3)
+    ]
+    for name, L in algebras:
+        assert [(a, b) for a in range(L.size) for b in L.covers[a]] == covering_pairs(L), name
 
 
 def covering_pairs(L):

@@ -104,3 +104,50 @@ def test_large_product_builds_without_the_table_recheck(monkeypatch):
     monkeypatch.setattr(conlat, "_check_semilattice_table", recheck)
     P = corpus.product(corpus.chain(20), corpus.chain(20))
     assert (P.size, P.top, P.meet_name) == (400, 399, "meet")
+
+
+# The eight stacked corpus lattices as their covers were once written out
+# by hand: the oracle for glued_sum's labels.
+STACKED = {
+    "2x2_top": (5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]),
+    "2x2_bot": (5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]),
+    "2x2_bounds": (6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]),
+    "2x2_tower": (6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)]),
+    "m3_top": (6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (4, 5)]),
+    "m3_bot": (6, [(0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)]),
+    "n5_top": (6, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4), (4, 5)]),
+    "n5_bot": (6, [(0, 1), (1, 2), (2, 3), (3, 5), (1, 4), (4, 5)]),
+}
+
+
+def test_stacked_corpus_lattices_match_their_cover_lists():
+    named = dict(corpus.bundled_corpus())
+    for name, (size, covers) in STACKED.items():
+        assert named[name] == corpus.lattice_from_covers(size, covers), name
+
+
+def test_glued_sum_puts_b_above_a():
+    lattices = [L for _, L in corpus.bundled_corpus()]
+    upside_down = corpus.lattice_from_covers(3, [(2, 1), (1, 0)])  # zero 2, top 0
+    for A, B in itertools.product(lattices, lattices + [upside_down]):
+        G = corpus.glued_sum(A, B)
+        # B's zero is A's top; B's other elements follow A's in label order.
+        at = [A.top if y == B.zero else A.size + y - (y > B.zero) for y in range(B.size)]
+        assert (G.size, G.top) == (A.size + B.size - 1, at[B.top])
+        for x, y in itertools.product(range(A.size), repeat=2):
+            assert G.leq(x, y) == A.leq(x, y)
+        for y, z in itertools.product(range(B.size), repeat=2):
+            assert G.leq(at[y], at[z]) == B.leq(y, z)
+        assert all(G.leq(x, y) for x in range(A.size) for y in at)
+
+
+def test_congruences_of_a_glued_sum_are_pairs_of_congruences():
+    # Con(A ⊕ B) ≅ Con A × Con B (G. Grätzer, *The Congruences of a Finite
+    # Lattice*, 2006): the counts multiply and the join-irreducibles add up.
+    # cons[0] is the full congruence, so its mask sets every member of J(Con).
+    named = corpus.bundled_corpus()
+    for (a, A), (b, B) in itertools.product(named, repeat=2):
+        G, ca, cb = corpus.glued_sum(A, B).con_index, A.con_index, B.con_index
+        assert len(G) == len(ca) * len(cb), (a, b)
+        irr = [con.jmask[0].bit_count() for con in (G, ca, cb)]
+        assert irr[0] == irr[1] + irr[2], (a, b)
