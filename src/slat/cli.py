@@ -8,6 +8,7 @@ time goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -188,6 +189,7 @@ def cmd_suite(args) -> int:
     return 0 if passed else 1
 
 
+@functools.cache  # one parser per process: main parses with it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slat",

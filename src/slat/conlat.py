@@ -564,32 +564,19 @@ def check_congruence_compatible(L: FinAlgebra) -> bool:
 # Semilattice tables and homomorphisms
 
 
-@dataclass(frozen=True)
-class SemilatticeTable:
-    size: int
-    join: tuple
-    zero: int
-
-    def join_of(self, a: int, b: int) -> int:
-        return self.join[a * self.size + b]
-
-    def leq(self, a: int, b: int) -> bool:
-        return self.join_of(a, b) == b
-
-
-def semilattice(size, join, zero) -> SemilatticeTable:
+def semilattice(size, join, zero) -> FinAlgebra:
+    """The algebra whose one basic operation is the join table; zero must be least."""
     join = _check_semilattice_table(size, join)
     if not (0 <= zero < size):
         raise ValueError("zero out of range")
-    get = lambda a, b: join[a * size + b]
-    for a in range(size):
-        if get(zero, a) != a:
-            raise ValueError("zero not neutral")
-    return SemilatticeTable(size, join, zero)
+    S = FinAlgebra(size, (Operation("join", 2, join),), join)
+    if S.zero != zero:  # a neutral zero is exactly the least element
+        raise ValueError("zero not neutral")
+    return S
 
 
 class ConcResult(NamedTuple):
-    table: SemilatticeTable
+    table: FinAlgebra
     congruences: tuple
     pair_index: dict
 
@@ -602,35 +589,32 @@ def conc(L: FinAlgebra) -> ConcResult:
     congruence.  Entry (a, b) of the table is the join of the
     join-irreducibles below a or b (``Congruences.join`` of the union of
     their masks).  It is a semilattice by construction, so it skips
-    ``semilattice()``'s recheck.
+    ``semilattice()``'s recheck; its zero is the identity congruence, last.
     """
     con = L.con_index
     k, jmask = len(con), con.jmask
     table = tuple(map(con.join, [mb | ma for mb in jmask for ma in jmask]))
     pairs = itertools.product(range(L.size), repeat=2)
     pair_index = dict(zip(pairs, map(con.by_mask.__getitem__, con.pmask)))
-    return ConcResult(SemilatticeTable(k, table, k - 1), con.cons, pair_index)
+    return ConcResult(FinAlgebra(k, (Operation("join", 2, table),), table), con.cons, pair_index)
 
 
-def is_distributive(S: SemilatticeTable) -> bool:
-    """Exhaustive witness search for the splitting property."""
-    down = [
-        [x for x in range(S.size) if S.leq(x, a)] for a in range(S.size)
-    ]
-    for a in range(S.size):
-        for b in range(S.size):
-            ab = S.join_of(a, b)
-            joins = {S.join_of(x, y) for x in down[a] for y in down[b]}
-            for c in range(S.size):
-                if S.leq(c, ab) and c not in joins:
-                    return False
+def is_distributive(S: FinAlgebra) -> bool:
+    """Whether S has the splitting property: every c ≤ a v b is some x v y
+    with x ≤ a and y ≤ b.  The below-sets are the masks of ``S.order``."""
+    n, join, down = S.size, S.join, S.order[0]
+    below = [[x for x in range(n) if d >> x & 1] for d in down]
+    for a, b in itertools.combinations_with_replacement(range(n), 2):  # symmetric in a, b
+        joins = {join[x * n + y] for x in below[a] for y in below[b]}
+        if not joins.issuperset(below[join[a * n + b]]):
+            return False
     return True
 
 
 @dataclass(frozen=True)
 class SemHom:
-    dom: SemilatticeTable
-    cod: SemilatticeTable
+    dom: FinAlgebra
+    cod: FinAlgebra
     image: tuple
 
 
@@ -649,7 +633,7 @@ def sem_hom(dom, cod, image) -> SemHom:
     return SemHom(dom, cod, image)
 
 
-def all_sem_homs(dom: SemilatticeTable, cod: SemilatticeTable) -> list:
+def all_sem_homs(dom: FinAlgebra, cod: FinAlgebra) -> list:
     out = []
     for image in itertools.product(range(cod.size), repeat=dom.size):
         if image[dom.zero] != cod.zero:
@@ -742,7 +726,10 @@ def _compose_masks(r, s, size):
 
 def permutability(L: FinAlgebra, m: int) -> bool:
     """Whether every congruence join is an (m+1)-fold alternating
-    relational composition."""
+    relational composition.  A row of r∘s∘r∘... only grows, and once a
+    step adds nothing it is its class of r v s for good; it starts with
+    one element, so n - 1 steps reach the join and m = n answers for any
+    larger m."""
     if m < 1:
         raise ValueError("m must be positive")
     con = L.con_index
@@ -750,7 +737,7 @@ def permutability(L: FinAlgebra, m: int) -> bool:
     for ma, ra in zip(con.jmask, rel):
         for mb, rb in zip(con.jmask, rel):
             acc = ra
-            for idx in range(1, m + 1):
+            for idx in range(1, min(m, L.size) + 1):
                 acc = _compose_masks(acc, rb if idx % 2 else ra, L.size)
             if acc != rel[con.join(ma | mb)]:
                 return False
@@ -952,7 +939,7 @@ def parse_algebra(text: str) -> FinAlgebra:
     return reader.algebra()
 
 
-def parse_semhom(text: str, dom: SemilatticeTable) -> SemHom:
+def parse_semhom(text: str, dom: FinAlgebra) -> SemHom:
     """Parse a map from dom into a semilattice given by ``sem <k>``,
     ``join <table>`` and ``zero <idx>``, with one ``map <x> <image>`` line
     for each element x of dom."""

@@ -239,14 +239,6 @@ def funayama(lattices) -> list:
     ]
 
 
-def _small_semilattices() -> list:
-    tables = []
-    for name in ("chain1", "chain2", "chain3", "chain4", "2x2"):
-        L = dict(corpus.bundled_corpus())[name]
-        tables.append((name, conlat.SemilatticeTable(L.size, L.join, L.zero)))
-    return tables
-
-
 def oracles(lattices) -> tuple:
     """theta against brute_theta on every pair of each lattice of size <= 6,
     and weakly_distributive_at against wd_at_oracle on every hom between
@@ -263,9 +255,10 @@ def oracles(lattices) -> tuple:
                 theta_checked += 1
                 theta_bad += conlat.theta(L, x, y) != brute_theta(L, x, y)
     homs = wd_checked = wd_bad = 0
-    tables = _small_semilattices()
-    for _, dom in tables:
-        for _, cod in tables:
+    small = ("chain1", "chain2", "chain3", "chain4", "2x2")
+    tables = [L for name, L in corpus.bundled_corpus() if name in small]
+    for dom in tables:
+        for cod in tables:
             for mu in conlat.all_sem_homs(dom, cod):
                 homs += 1
                 for x in range(dom.size):

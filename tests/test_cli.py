@@ -127,6 +127,17 @@ def test_con_perm(capsys, tmp_path):
     assert code == 1 and out == "false\n"
     code, out, _ = run(capsys, "con", str(path), "perm", "15")
     assert code == 0 and out == "true\n"
+    # Past the carrier size the verdict no longer depends on m.
+    huge = run(capsys, "con", str(path), "perm", "1000000000")
+    assert huge == run(capsys, "con", str(path), "perm", "4")
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    run(capsys, "rank", "0")
+    run(capsys, "leq", "0", "0")
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_con_quotient(capsys, n5_file):
@@ -460,12 +471,9 @@ def mutated(text, rng, pool):
     return "\n".join(lines) + "\n"
 
 
-def test_mutated_files_exit_0_1_or_2(tmp_path, monkeypatch):
+def test_mutated_files_exit_0_1_or_2(tmp_path):
     # Every reader, and every command on what it accepts, must answer a
     # mutated file with an exit code and never let an exception escape.
-    # The parser is built once: building it is most of an in-process call.
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     n5 = corpus.n5()
     S = conlat.conc(n5).table
     sem = f"sem {S.size}\njoin {' '.join(map(str, S.join))}\nzero {S.zero}\n"

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -306,6 +307,30 @@ def test_is_distributive_examples():
     assert not is_distributive(m3_semilattice())
 
 
+def is_distributive_oracle(S):
+    """The witness search is_distributive made before it read S.order: the
+    below-sets by leq, then each c ≤ a v b looked up among the x v y."""
+    down = [[x for x in range(S.size) if S.leq(x, a)] for a in range(S.size)]
+    for a in range(S.size):
+        for b in range(S.size):
+            ab = S.join_of(a, b)
+            joins = {S.join_of(x, y) for x in down[a] for y in down[b]}
+            for c in range(S.size):
+                if S.leq(c, ab) and c not in joins:
+                    return False
+    return True
+
+
+def test_is_distributive_matches_the_witness_search():
+    algebras = corpus_and_products() + join_only_algebras()
+    tables = [conc(L).table for _, L in algebras]
+    n5 = corpus.n5()
+    tables += [m3_semilattice(), semilattice(n5.size, n5.join, n5.zero)]
+    verdicts = [is_distributive(S) for S in tables]
+    assert verdicts == [is_distributive_oracle(S) for S in tables]
+    assert verdicts.count(False) == 15 + 2
+
+
 def test_semilattice_validation():
     with pytest.raises(ValueError):
         semilattice(2, [0, 1, 1, 0], 0)  # not idempotent at 1
@@ -538,6 +563,18 @@ def test_permutability_matches_the_partition_oracle():
             assert verdict == permutability_oracle(L, m), (name, m)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_permutability_past_the_carrier_size():
+    # The alternating compositions reach the join within n - 1 steps, so
+    # m = 10**9 answers at once, as m = n and (the oracle) m = n + 1 do.
+    algebras = list(corpus.bundled_corpus()) + join_only_algebras() + unary_algebras()
+    algebras += [("noncommutative", noncommutative_algebra())]
+    for name, L in algebras:
+        start = time.perf_counter()
+        verdict = permutability(L, 10**9)
+        assert time.perf_counter() - start < 1, name
+        assert verdict == permutability(L, L.size) == permutability_oracle(L, L.size + 1), name
 
 
 def test_compatibility_of_the_principal_congruences_decides():
@@ -1062,6 +1099,42 @@ def dependency_lattices():
     out += [("D-seven", corpus.lattice_from_covers(7, seven))]
     out += [("D-eight", corpus.lattice_from_covers(8, eight))]
     return out
+
+
+def downset_lattice(below):
+    """The lattice of down-sets of the poset on 0..p-1 in which below[q] is
+    the bitmask of the elements under q: each down-set is labelled by its
+    place among the down-sets as increasing bitmasks, and D ≺ D ∪ {q} for
+    each q minimal outside D."""
+    p = len(below)
+    downs = [d for d in range(1 << p) if all(below[q] & ~d == 0 for q in range(p) if d >> q & 1)]
+    label = {d: i for i, d in enumerate(downs)}
+    covers = [
+        (label[d], label[d | 1 << q])
+        for d in downs
+        for q in range(p)
+        if not d >> q & 1 and below[q] & ~d == 0
+    ]
+    return corpus.lattice_from_covers(len(downs), covers)
+
+
+def test_con_of_a_downset_lattice_is_boolean():
+    # Birkhoff: a finite distributive lattice is the down-set lattice of
+    # its poset P of join-irreducibles, and Con L is Boolean with |P|
+    # atoms, so J(Con L) is an antichain of |P| and its masks are every
+    # subset of it.
+    rng = random.Random("conlat:downset-lattices")
+    sizes = set()
+    for p in (4, 5, 5, 6, 6, 7):
+        below = [0] * p
+        for hi in range(p):
+            for lo in range(hi):
+                if rng.random() < 0.4:
+                    below[hi] |= 1 << lo | below[lo]
+        L = downset_lattice(below)
+        sizes.add(L.size)
+        assert sorted(L.con_index.jmask) == list(range(2**p)), below
+    assert len(sizes) > 3, sizes
 
 
 def product_congruence(parts):

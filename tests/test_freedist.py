@@ -41,9 +41,9 @@ B1 = gen(1, "y")
 
 
 class TableBase:
-    """A SemilatticeTable as a rank-0 base for the extension."""
+    """A join-semilattice table as a rank-0 base for the extension."""
 
-    def __init__(self, table: conlat.SemilatticeTable):
+    def __init__(self, table: conlat.FinAlgebra):
         self.table = table
         self.ZERO = table.zero
 
