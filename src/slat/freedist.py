@@ -25,8 +25,8 @@ the extension therefore forces distributivity.
 Joins are computed by rewriting the union of the two triple sets (a
 lower-rank operand enters as its own diagonal):
 
-  1. ``step1``  -- merge a swapped pair into the diagonal of its shared
-                   third entry, repeated to a fixpoint;
+  1. ``step1``  -- merge every swapped pair into the diagonal of its
+                   shared third entry, in one pass;
   2. ``phi``    -- fuse all diagonals into the diagonal of their join;
   3. ``step2``  -- absorb a triple whose middle entry sits below the
                    projection, raising the projection by its third
@@ -34,10 +34,12 @@ lower-rank operand enters as its own diagonal):
   4. ``psi``    -- drop triples whose first or last entry sits below the
                    projection and package the survivors.
 
-Rule choices inside the two fixpoint stages are resolved
-lexicographically by serialization; ``join_with_order`` replays the same
-pipeline with a caller-supplied random order (the canonical result must
-not depend on the choice, and the suites check that it does not).
+The swapped pairs are disjoint and a merge adds only a diagonal, so
+step 1 has no choice to make.  The choice inside step 2's fixpoint is
+resolved lexicographically by serialization; ``join_with_order`` replays
+the same pipeline with a caller-supplied random order there (the
+canonical result must not depend on the choice, and the suites check
+that it does not).
 
 Values built here are canonical by construction and are not rechecked;
 ``validate`` checks what ``expr.deserialize`` reads and is the tests' oracle.
@@ -170,7 +172,7 @@ def join(base, x, y):
 
 
 def join_with_order(base, x, y, rng):
-    """The join pipeline with rule choices drawn from rng (uncached)."""
+    """The join pipeline, step 2's choices drawn from rng (uncached)."""
     if not isinstance(x, Node) and not isinstance(y, Node):
         return base.join(x, y)
     return _rewrite_join(base, x, y, rng)
@@ -186,9 +188,7 @@ def join_all(base, items):
 def _rewrite_join(base, x, y, rng):
     r = max(rank(x), rank(y))
     ws = frozenset(_lift(x, r) + _lift(y, r))
-    while (nxt := step1(base, ws, rng)) is not None:
-        ws = nxt
-    ws = phi(base, ws)
+    ws = phi(base, step1(base, ws) or ws)
     while (nxt := step2(base, ws, rng)) is not None:
         ws = nxt
     return psi(base, ws)
@@ -201,23 +201,14 @@ def _lift(x, r):
     return (Triple(x, x, x),)
 
 
-def step1(base, ws: frozenset, rng=None):
-    """Merge one swapped pair of non-diagonal triples; None at fixpoint."""
-    pairs = set()
-    for t in ws:
-        if is_diagonal(t):
-            continue
-        s = Triple(t.v, t.u, t.w)
-        if s in ws:
-            pairs.add(frozenset((t, s)))
-    if not pairs:
+def step1(base, ws: frozenset):
+    """Merge every swapped pair of non-diagonal triples; None if none."""
+    merged = {
+        t for t in ws if not is_diagonal(t) and Triple(t.v, t.u, t.w) in ws
+    }
+    if not merged:
         return None
-    ordered = sorted(
-        pairs, key=lambda p: min(triple_key(base, t) for t in p)
-    )
-    pick = rng.choice(ordered) if rng is not None else ordered[0]
-    c = next(iter(pick)).w
-    return ws - pick | {Triple(c, c, c)}
+    return ws - merged | {Triple(t.w, t.w, t.w) for t in merged}
 
 
 def phi(base, ws: frozenset) -> frozenset:

@@ -111,7 +111,13 @@ def check_cancellation(alpha: str, i: int, x, y) -> Verdict:
     return Verdict(Outcome.HOLDS if leq(x, y) else Outcome.COUNTEREXAMPLE)
 
 
-def evaporation_premise_failures(alpha, beta, delta, i, j, x, y, z) -> tuple:
+def check_evaporation(alpha, beta, delta, i, j, x, y, z) -> Verdict:
+    """Evaporation: under the two-sided generator constraints on x and y,
+    every z <= x v y avoiding delta collapses to zero.
+
+    A COUNTEREXAMPLE outcome is an implementation failure, never a valid
+    result.
+    """
     failed = []
     if len({alpha, beta, delta}) != 3:
         failed.append("alpha, beta, delta not distinct")
@@ -131,19 +137,8 @@ def evaporation_premise_failures(alpha, beta, delta, i, j, x, y, z) -> tuple:
         failed.append("y <= a_1^delta fails")
     if not leq(y, gen(j, beta)):
         failed.append("y <= a_j^beta fails")
-    return tuple(failed)
-
-
-def check_evaporation(alpha, beta, delta, i, j, x, y, z) -> Verdict:
-    """Evaporation: under the two-sided generator constraints on x and y,
-    every z <= x v y avoiding delta collapses to zero.
-
-    A COUNTEREXAMPLE outcome is an implementation failure, never a valid
-    result.
-    """
-    failed = evaporation_premise_failures(alpha, beta, delta, i, j, x, y, z)
     if failed:
-        return Verdict(Outcome.PREMISE_FAILED, failed)
+        return Verdict(Outcome.PREMISE_FAILED, tuple(failed))
     return Verdict(Outcome.HOLDS if z == ZERO else Outcome.COUNTEREXAMPLE)
 
 

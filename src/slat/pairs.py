@@ -92,17 +92,15 @@ def mentions(p: PairElem) -> frozenset:
 def map_generators(f, p: PairElem) -> PairElem:
     """Push p through a renaming of generator names.
 
-    Rebuilt from generator images rather than mapped setwise, so a name
-    landing on both sides collapses the element to top.
+    A name landing on both sides collapses the element to top.
     """
     if p.top:
         return TOP
-    out = ZERO
-    for name in sorted(p.pos):
-        out = join(out, gen(0, f(name)))
-    for name in sorted(p.neg):
-        out = join(out, gen(1, f(name)))
-    return out
+    pos = frozenset(map(f, p.pos))
+    neg = frozenset(map(f, p.neg))
+    if pos & neg:
+        return TOP
+    return PairElem(pos, neg)
 
 
 def retract(alpha: str, i: int, p: PairElem) -> PairElem:

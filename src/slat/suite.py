@@ -58,7 +58,7 @@ def brute_theta(L: conlat.FinAlgebra, x: int, y: int) -> conlat.Congruence:
     candidates = [
         p
         for p in conlat.all_partitions(L.size)
-        if conlat.is_compatible(L, p) and p.relates(x, y)
+        if p.relates(x, y) and conlat.is_compatible(L, p)
     ]
     out = candidates[0]
     for p in candidates[1:]:

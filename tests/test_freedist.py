@@ -151,9 +151,75 @@ def test_step1_two_disjoint_pairs():
         {t(A0, A1, ONE), t(A1, A0, ONE), t(A0, B0, B0), t(B0, A0, B0)}
     )
     once = step1(BASE, ws)
-    twice = step1(BASE, once)
-    assert step1(BASE, twice) is None
-    assert twice == frozenset({t(ONE, ONE, ONE), t(B0, B0, B0)})
+    assert once == frozenset({t(ONE, ONE, ONE), t(B0, B0, B0)})
+    assert step1(BASE, once) is None
+
+
+def step1_one_pair_at_a_time(ws, rng):
+    """Oracle: merge one swapped pair per pass, picked by rng, to a fixpoint."""
+    while True:
+        pairs = set()
+        for q in ws:
+            s = Triple(q.v, q.u, q.w)
+            if not freedist.is_diagonal(q) and s in ws:
+                pairs.add(frozenset((q, s)))
+        if not pairs:
+            return ws
+        ordered = sorted(
+            pairs, key=lambda p: min(freedist.triple_key(BASE, q) for q in p)
+        )
+        pick = rng.choice(ordered)
+        c = next(iter(pick)).w
+        ws = ws - pick | {t(c, c, c)}
+
+
+def assert_step1_matches_oracle(ws, rng):
+    once = step1(BASE, ws)
+    for _ in range(3):
+        assert (once or ws) == step1_one_pair_at_a_time(ws, rng)
+    assert once is None or step1(BASE, once) is None
+    return once
+
+
+def test_step1_matches_one_pair_at_a_time_on_join_operands():
+    # y picks up mirrors of x's triples, so that many joins have swapped
+    # pairs to merge
+    rng = random.Random("freedist:step1-oracle")
+    names = ("x", "y", "z")
+    merged = []
+    for _ in range(2000):
+        x = freepairs.random_elem(rng, names, 2)
+        y = freepairs.random_elem(rng, names, 2)
+        for q in x.triples if isinstance(x, Node) else ():
+            if rng.random() < 0.8:
+                y = freepairs.join(y, freepairs.bowtie(q.v, q.u, q.w))
+        if not (isinstance(x, Node) or isinstance(y, Node)):
+            continue
+        r = max(rank(x), rank(y))
+        ws = frozenset(freedist._lift(x, r) + freedist._lift(y, r))
+        once = assert_step1_matches_oracle(ws, rng)
+        merged.append(0 if once is None else len(ws - once) // 2)
+    # the sample merges often, and often more than one pair in a call
+    assert sum(m >= 1 for m in merged) >= 300
+    assert sum(m >= 2 for m in merged) >= 10
+
+
+def test_step1_matches_one_pair_at_a_time_by_hand():
+    # three disjoint swapped pairs, the third's w already on the diagonal,
+    # and a triple with u == v, which is its own swap
+    ws = frozenset({
+        t(A0, A1, ONE), t(A1, A0, ONE),
+        t(A0, B0, B0), t(B0, A0, B0),
+        t(A1, B1, A1), t(B1, A1, A1), t(A1, A1, A1),
+        t(B1, B1, ONE),
+        t(A0, B1, ONE),
+    })
+    want = frozenset(
+        {t(ONE, ONE, ONE), t(B0, B0, B0), t(A1, A1, A1), t(A0, B1, ONE)}
+    )
+    assert step1(BASE, ws) == want
+    rng = random.Random("freedist:step1-by-hand")
+    assert_step1_matches_oracle(ws, rng)
 
 
 def test_phi_merges_diagonals():

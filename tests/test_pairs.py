@@ -76,6 +76,32 @@ def test_map_rebuilds_from_images():
     )
 
 
+def map_by_joining_images(f, p):
+    """Oracle: join the image of each generator of p, in sorted order."""
+    if p.top:
+        return TOP
+    out = ZERO
+    for name in sorted(p.pos):
+        out = join(out, gen(0, f(name)))
+    for name in sorted(p.neg):
+        out = join(out, gen(1, f(name)))
+    return out
+
+
+def test_map_matches_joining_generator_images():
+    # every renaming of x, y, z into x, y, u: some merge names, some send a
+    # positive and a negative name of one element to the same target
+    names = ("x", "y", "z")
+    collapsed = 0
+    for targets in itertools.product(("x", "y", "u"), repeat=len(names)):
+        f = dict(zip(names, targets)).__getitem__
+        for p in universe(names):
+            got = map_generators(f, p)
+            assert got == map_by_joining_images(f, p), (targets, p)
+            collapsed += got is TOP and not p.top
+    assert collapsed > 0
+
+
 def test_map_is_homomorphism():
     f = {"x": "x", "y": "x"}
     for p in U2:
