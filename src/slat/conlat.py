@@ -105,12 +105,6 @@ def part_meet(c1: Congruence, c2: Congruence) -> Congruence:
     return congruence_from_blockof(zip(c1.block_of, c2.block_of))
 
 
-def refines(c1: Congruence, c2: Congruence) -> bool:
-    """Whether every c1-class is contained in a c2-class: each c1 block id
-    pairs with a single c2 block id."""
-    return len(set(zip(c1.block_of, c2.block_of))) == len(set(c1.block_of))
-
-
 def all_partitions(size: int):
     """Every partition of 0..size-1 (oracle-scale carriers only)."""
     if size == 0:

@@ -246,7 +246,7 @@ def parse_instance(text: str) -> DescentInstance:
         t_entries[r] = int(args[1])
 
     def z_line(args):
-        key = (int(args[0]), int(args[1]), args[2])
+        key = (int(args[0]), int(args[1]), expr.parse_name(args[2]))
         if key in z:
             raise ValueError("z %d %d %s defined twice" % key)
         z[key] = int(args[3])

@@ -84,6 +84,14 @@ class _Cursor:
             raise self.error(f"trailing input {tok!r}", self.pos)
 
 
+def parse_name(text: str) -> str:
+    """Read text as one identifier; raises ParseError otherwise."""
+    cur = _Cursor(text)
+    name = cur.name()
+    cur.done()
+    return name
+
+
 # ---------------------------------------------------------------------------
 # Expression AST
 

@@ -27,7 +27,9 @@ lower-rank operand enters as its own diagonal):
 
   1. ``step1``  -- merge every swapped pair into the diagonal of its
                    shared third entry, in one pass;
-  2. ``phi``    -- fuse all diagonals into the diagonal of their join;
+  2. ``phi``    -- fuse all diagonals into the projection, their join,
+                   and return it beside the other triples, the pair
+                   that ``step2`` and ``psi`` take;
   3. ``step2``  -- absorb a triple whose middle entry sits below the
                    projection, raising the projection by its third
                    entry, repeated to a fixpoint;
@@ -188,10 +190,10 @@ def join_all(base, items):
 def _rewrite_join(base, x, y, rng):
     r = max(rank(x), rank(y))
     ws = frozenset(_lift(x, r) + _lift(y, r))
-    ws = phi(base, step1(base, ws) or ws)
-    while (nxt := step2(base, ws, rng)) is not None:
-        ws = nxt
-    return psi(base, ws)
+    p, rest = phi(base, step1(base, ws) or ws)
+    while (nxt := step2(base, p, rest, rng)) is not None:
+        p, rest = nxt
+    return psi(base, p, rest)
 
 
 def _lift(x, r):
@@ -211,50 +213,31 @@ def step1(base, ws: frozenset):
     return ws - merged | {Triple(t.w, t.w, t.w) for t in merged}
 
 
-def phi(base, ws: frozenset) -> frozenset:
-    """Fuse all diagonal triples into the diagonal of their join."""
+def phi(base, ws: frozenset):
+    """Fuse the diagonals into the projection: (their join, the rest)."""
     diags = {t for t in ws if is_diagonal(t)}
-    if not diags:
-        raise ValueError("phi requires at least one diagonal triple")
     vals = sorted({t.u for t in diags}, key=lambda v: serialize(base, v))
-    total = reduce(lambda a, b: join(base, a, b), vals)
-    return ws - diags | {Triple(total, total, total)}
+    return reduce(lambda a, b: join(base, a, b), vals), ws - diags
 
 
-def _the_diagonal(ws):
-    diags = [t for t in ws if is_diagonal(t)]
-    if len(diags) != 1:
-        raise ValueError(f"expected exactly one diagonal, found {len(diags)}")
-    return diags[0]
+def step2(base, p, rest: frozenset, rng=None):
+    """Absorb one triple whose middle entry is below the projection p.
 
-
-def step2(base, ws: frozenset, rng=None):
-    """Absorb one triple whose middle entry is below the projection.
-
-    The absorbed triple's third entry is joined onto the projection;
-    None when no triple applies.
+    Returns the projection raised by the absorbed triple's third entry,
+    with the triples left; None when no triple applies.
     """
-    d = _the_diagonal(ws)
-    p = d.u
-    cands = [t for t in ws if not is_diagonal(t) and leq(base, t.v, p)]
+    cands = [t for t in rest if leq(base, t.v, p)]
     if not cands:
         return None
     cands.sort(key=lambda t: triple_key(base, t))
     t = rng.choice(cands) if rng is not None else cands[0]
-    raised = join(base, t.w, p)
-    return ws - {t, d} | {Triple(raised, raised, raised)}
+    return join(base, t.w, p), rest - {t}
 
 
-def psi(base, ws: frozenset):
-    """Drop dominated triples and package the set as a canonical element."""
-    d = _the_diagonal(ws)
-    p = d.u
+def psi(base, p, rest: frozenset):
+    """Drop triples dominated by p and package the rest with projection p."""
     keep = [
-        t
-        for t in ws
-        if not is_diagonal(t)
-        and not leq(base, t.u, p)
-        and not leq(base, t.w, p)
+        t for t in rest if not leq(base, t.u, p) and not leq(base, t.w, p)
     ]
     return make_node(base, p, keep)
 

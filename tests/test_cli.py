@@ -72,6 +72,28 @@ def test_check_commands(capsys):
     assert code == 0 and out == "holds\n"
 
 
+_EVAPORATION = ["--alpha", "a", "--beta", "b", "--delta", "d", "--i", "0", "--j", "1",
+                "--x", "0", "--y", "0", "--z", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["lemma44", "--alpha", "", "--i", "0", "--x", "a0(x)", "--y", "a0(x)"], "--alpha"),
+        (["lemma44", "--alpha", "x,y", "--i", "0", "--x", "a0(x)", "--y", "a0(x)"], "--alpha"),
+        (["evaporation", *_EVAPORATION[:3], "b c", *_EVAPORATION[4:]], "--beta"),
+        (["evaporation", *_EVAPORATION[:5], "a0(d)", *_EVAPORATION[6:]], "--delta"),
+    ],
+    ids=["empty", "comma", "space", "paren"],
+)
+def test_check_bad_generator_name_exit_2(capsys, argv, flag):
+    # a generator name is one identifier, as an expression spells it
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: invalid" in err
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def n5_file(tmp_path):
     path = tmp_path / "n5.alg"
@@ -259,6 +281,17 @@ _FIXTURE_LINES = descent.FIXTURE.splitlines()
             ("freeset",),
             "ground 0 1\narity 1\nphi {0} -> {1}\nphi {0} -> {0}\n",
             "line 4: phi {0} defined twice",
+        ),
+        (
+            # a z name no expression can spell, on every z line, and no U
+            ("descent", "validate"),
+            descent.FIXTURE.replace(" u ", " a(b ").replace("U u\n", ""),
+            "line 7: 1:2: trailing input '('",
+        ),
+        (
+            ("descent", "validate"),
+            descent.FIXTURE.replace("z 0 2 u 3", "z 0 2 x,y 3"),
+            "line 9: 1:2: trailing input ','",
         ),
     ],
 )

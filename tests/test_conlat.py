@@ -31,13 +31,14 @@ from slat.conlat import (
     part_meet,
     permutability,
     quotient,
-    refines,
     sem_hom,
     semilattice,
     theta,
     weakly_distributive_at,
 )
 from slat.freedist import DomainError
+
+from helpers import refines
 
 
 def bare_chain(n):
@@ -71,7 +72,7 @@ def test_refines_reads_the_block_arrays():
     for a, b in itertools.product(parts, repeat=2):
         assert refines(a, b) == (part_join(a, b) == b)
     # Listing a Con A that is no lattice's adds only the join closure's
-    # part_join entries: its masks come from refines.
+    # part_join entries: its masks read generating pairs.
     algebras = [L for _, L in join_only_algebras()] + [swapped_square()]
     part_join.cache_clear()
     for L in algebras:
@@ -611,7 +612,6 @@ def test_readers_of_con_a_read_its_masks(monkeypatch):
 
     # The closure path closes Θ and joins partitions, but its masks read
     # each join-irreducible's generating pair.
-    monkeypatch.setattr(conlat, "refines", forbidden)
     assert build(join_only).jmask == all_congruences(join_only).jmask
     for name in ("part_join", "theta", "all_congruences"):
         monkeypatch.setattr(conlat, name, forbidden)

@@ -15,6 +15,8 @@ from slat.descent import (
     validate_instance,
 )
 
+from helpers import refines
+
 
 def s_of(D, X) -> frozenset:
     """Join-closure of the chain entries over the names in X."""
@@ -79,7 +81,7 @@ def mu_hat_oracle(D, c):
     mu = {}
     for x, y, value in D.mu_lines:
         mu.setdefault(conlat.theta(D.algebra, x, y), value)
-    return freepairs.join_all(v for p, v in mu.items() if conlat.refines(p, c))
+    return freepairs.join_all(v for p, v in mu.items() if refines(p, c))
 
 
 def test_mu_hat_on_masks_matches_the_partition_oracle():

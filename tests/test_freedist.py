@@ -225,46 +225,101 @@ def test_step1_matches_one_pair_at_a_time_by_hand():
 def test_phi_merges_diagonals():
     ws = frozenset({t(A0, A0, A0), t(B0, B0, B0)})
     ab = freepairs.join(A0, B0)
-    assert phi(BASE, ws) == frozenset({t(ab, ab, ab)})
+    assert phi(BASE, ws) == (ab, frozenset())
     single = frozenset({t(A0, A0, A0)})
-    assert phi(BASE, single) == single
+    assert phi(BASE, single) == (A0, frozenset())
     withzero = frozenset({t(ZERO, ZERO, ZERO), t(B0, B0, B0)})
-    assert phi(BASE, withzero) == frozenset({t(B0, B0, B0)})
+    assert phi(BASE, withzero) == (B0, frozenset())
+    keep = t(A0, A1, ONE)
+    assert phi(BASE, ws | {keep}) == (ab, frozenset({keep}))
 
 
 def test_step2_absorbs_dominated_middle():
-    # projection b, triple <a, b, c>: diagonal raised to c v b
+    # projection b, triple <a, b, c>: projection raised to c v b
     b = B0
-    ws = frozenset({t(b, b, b), t(A0, b, freepairs.join(A0, B1))})
-    out = step2(BASE, ws)
+    out = step2(BASE, b, frozenset({t(A0, b, freepairs.join(A0, B1))}))
     raised = freepairs.join(freepairs.join(A0, B1), b)
-    assert out == frozenset({t(raised, raised, raised)})
-    assert step2(BASE, out) is None
+    assert out == (raised, frozenset())
+    assert step2(BASE, *out) is None
 
 
 def test_step2_cascade():
     # raising the projection enables a second absorption
     p = ZERO
     c1 = B0
-    ws = frozenset({t(p, p, p), t(A0, ZERO, ZERO)})  # degenerate; absorbed straight off
-    out = step2(BASE, ws)
-    assert out == frozenset({t(ZERO, ZERO, ZERO)})
-    ws = frozenset({t(ZERO, ZERO, ZERO), t(A0, ZERO, c1), t(A1, c1, ONE)})
-    once = step2(BASE, ws)
-    twice = step2(BASE, once)
-    assert twice == frozenset({t(ONE, ONE, ONE)})
-    assert step2(BASE, twice) is None
+    rest = frozenset({t(A0, ZERO, ZERO)})  # degenerate; absorbed straight off
+    assert step2(BASE, p, rest) == (ZERO, frozenset())
+    rest = frozenset({t(A0, ZERO, c1), t(A1, c1, ONE)})
+    once = step2(BASE, ZERO, rest)
+    twice = step2(BASE, *once)
+    assert twice == (ONE, frozenset())
+    assert step2(BASE, *twice) is None
 
 
 def test_psi_examples():
-    assert psi(BASE, frozenset({t(B0, B0, B0)})) == B0
+    assert psi(BASE, B0, frozenset()) == B0
     # a <= projection: dropped
-    ws = frozenset({t(B0, B0, B0), t(B0, A0, freepairs.join(A0, B0))})
-    assert psi(BASE, ws) == B0
+    assert psi(BASE, B0, frozenset({t(B0, A0, freepairs.join(A0, B0))})) == B0
+    # c <= projection: dropped
+    assert psi(BASE, B0, frozenset({t(A0, A1, B0)})) == B0
     # nothing dominated: kept
     keep = t(A0, A1, ONE)
-    ws = frozenset({t(ZERO, ZERO, ZERO), keep})
-    assert psi(BASE, ws) == Node(ZERO, (keep,))
+    assert psi(BASE, ZERO, frozenset({keep})) == Node(ZERO, (keep,))
+
+
+def step2_on_set(ws, rng):
+    """Oracle: step 2 on a set holding the projection as its one diagonal."""
+    (d,) = [q for q in ws if freedist.is_diagonal(q)]
+    cands = [q for q in ws if not freedist.is_diagonal(q) and leq(BASE, q.v, d.u)]
+    if not cands:
+        return None
+    cands.sort(key=lambda q: freedist.triple_key(BASE, q))
+    q = rng.choice(cands) if rng is not None else cands[0]
+    raised = join(BASE, q.w, d.u)
+    return ws - {q, d} | {t(raised, raised, raised)}
+
+
+def join_on_set(x, y, rng):
+    """Oracle: the join with the projection kept as the set's diagonal.
+
+    Returns the join and the number of step 2 rewrites.
+    """
+    r = max(rank(x), rank(y))
+    ws = frozenset(freedist._lift(x, r) + freedist._lift(y, r))
+    p, rest = phi(BASE, step1(BASE, ws) or ws)
+    ws, steps = rest | {t(p, p, p)}, 0
+    while (nxt := step2_on_set(ws, rng)) is not None:
+        ws, steps = nxt, steps + 1
+    (d,) = [q for q in ws if freedist.is_diagonal(q)]
+    keep = [
+        q
+        for q in ws
+        if not freedist.is_diagonal(q)
+        and not leq(BASE, q.u, d.u)
+        and not leq(BASE, q.w, d.u)
+    ]
+    return freedist.make_node(BASE, d.u, keep), steps
+
+
+def test_projection_beside_triples_matches_one_diagonal_set():
+    rng = random.Random("freedist:one-diagonal-oracle")
+    names = ("x", "y", "z")
+    steps = []
+    for i in range(400):
+        x = freepairs.random_elem(rng, names, 2)
+        y = freepairs.random_elem(rng, names, 2)
+        if not (isinstance(x, Node) or isinstance(y, Node)):
+            continue
+        want, n = join_on_set(x, y, None)
+        assert join(BASE, x, y) == want
+        steps.append(n)
+        seed = f"one-diagonal:{i}"
+        got = join_with_order(BASE, x, y, random.Random(seed))
+        assert got == join_on_set(x, y, random.Random(seed))[0]
+    # most pairs reach the rewrite, and step 2 fires in a good share
+    assert len(steps) >= 200
+    assert sum(n >= 1 for n in steps) >= 40
+    assert sum(n >= 2 for n in steps) >= 3
 
 
 # -- join --------------------------------------------------------------------
