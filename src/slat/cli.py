@@ -131,6 +131,13 @@ def cmd_freeset(args) -> int:
     return 0
 
 
+def _generator_name(text: str) -> str:
+    try:
+        return expr.parse_name(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_name_set(text: str) -> frozenset:
     if text == "-":
         return frozenset()
@@ -224,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     check_sub = check.add_subparsers(dest="check_cmd", required=True)
 
     p = check_sub.add_parser("evaporation")
-    p.add_argument("--alpha", type=expr.parse_name, required=True)
-    p.add_argument("--beta", type=expr.parse_name, required=True)
-    p.add_argument("--delta", type=expr.parse_name, required=True)
+    p.add_argument("--alpha", type=_generator_name, required=True)
+    p.add_argument("--beta", type=_generator_name, required=True)
+    p.add_argument("--delta", type=_generator_name, required=True)
     p.add_argument("--i", type=int, required=True, choices=(0, 1))
     p.add_argument("--j", type=int, required=True, choices=(0, 1))
     p.add_argument("--x", required=True)
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check_evaporation)
 
     p = check_sub.add_parser("lemma44")
-    p.add_argument("--alpha", type=expr.parse_name, required=True)
+    p.add_argument("--alpha", type=_generator_name, required=True)
     p.add_argument("--i", type=int, required=True, choices=(0, 1))
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)

@@ -85,10 +85,13 @@ class _Cursor:
 
 
 def parse_name(text: str) -> str:
-    """Read text as one identifier; raises ParseError otherwise."""
-    cur = _Cursor(text)
-    name = cur.name()
-    cur.done()
+    """Read text as one generator name; raises ValueError otherwise."""
+    try:
+        cur = _Cursor(text)
+        name = cur.name()
+        cur.done()
+    except ParseError:
+        raise ValueError(f"generator name must be one identifier, got {text!r}") from None
     return name
 
 

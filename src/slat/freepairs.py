@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from . import freedist, pairs
 from .freedist import Node, Triple
@@ -52,15 +53,13 @@ def validate(x):
     return freedist.validate(BASE, x)
 
 
+@lru_cache(maxsize=None)
 def support(x) -> frozenset:
-    """Generator names occurring anywhere in the canonical form of x."""
+    """Generator names occurring anywhere in the canonical form of x;
+    memoized per value."""
     if not isinstance(x, Node):
         return pairs.mentions(x)
-    out = set(support(x.proj))
-    for t in x.triples:
-        for comp in t:
-            out |= support(comp)
-    return frozenset(out)
+    return support(x.proj).union(*(support(c) for t in x.triples for c in t))
 
 
 def retract(alpha: str, i: int, x):
@@ -102,7 +101,7 @@ def check_cancellation(alpha: str, i: int, x, y) -> Verdict:
     result.
     """
     failed = []
-    if alpha in support(x) | support(y):
+    if alpha in support(x) or alpha in support(y):
         failed.append(f"{alpha} occurs in x or y")
     if not leq(x, join(y, gen(i, alpha))):
         failed.append("x <= y v a_i^alpha fails")

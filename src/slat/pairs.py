@@ -10,6 +10,7 @@ lexicographically; that order fixes all serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 # The one element of each value, keyed by its fields.
@@ -57,8 +58,10 @@ ZERO = PairElem()
 TOP = PairElem(top=True)
 
 
+@lru_cache(maxsize=None)
 def gen(i: int, name: str) -> PairElem:
-    """The polarity-i generator of the given name, i in {0, 1}."""
+    """The polarity-i generator of the given name, i in {0, 1}; memoized
+    per value of (i, name)."""
     if i == 0:
         return PairElem(pos=frozenset((name,)))
     if i == 1:

@@ -1,4 +1,7 @@
 import random
+import re
+
+import pytest
 
 from slat import freepairs, pairs
 from slat.freedist import Node, Triple
@@ -41,6 +44,42 @@ def test_support_subadditive():
         assert support(join(x, y)) <= support(x) | support(y)
         a, b, c = freepairs.random_triple(rng, names, 1)
         assert support(bowtie(a, b, c)) <= support(a) | support(b) | support(c)
+
+
+# The two name lists of each pair value in a serialization.  Names occur
+# nowhere else, so "red", "pair" or "top" can be generator names too.
+_PAIR_LISTS = re.compile(r"pair\(\[([^\]]*)\],\[([^\]]*)\]\)")
+
+
+def _serialized_names(x) -> frozenset:
+    lists = [part for match in _PAIR_LISTS.findall(freepairs.serialize(x)) for part in match]
+    return frozenset(name for part in lists for name in part.split(",") if name)
+
+
+def test_memoized_support_matches_the_serialized_names():
+    rng = random.Random("fp:support-oracle")
+    names = ("pair", "red", "top", "u")
+    xs = [freepairs.random_elem(rng, names, 2) for _ in range(300)]
+    xs += freepairs.all_rank1({"u"}, 2)
+    xs += [
+        x
+        for pol, other in ((0, "a"), (1, "b"))
+        for k in (0, 1)
+        for x in freepairs.evaporation_side_universe("d", other, pol, k)
+    ]
+    assert any(isinstance(x, Node) and support(x) & {"pair", "red", "top"} for x in xs)
+    for x in xs:
+        assert support(x) == _serialized_names(x), freepairs.serialize(x)
+
+
+def test_memoized_gen_is_the_interned_value():
+    for name in ("u", "top", "red"):
+        assert gen(0, name) is pairs.PairElem(frozenset((name,)), frozenset())
+        assert gen(1, name) is pairs.PairElem(frozenset(), frozenset((name,)))
+    for _ in range(2):
+        # a failed call is not memoized: it raises every time
+        with pytest.raises(ValueError, match="polarity must be 0 or 1"):
+            gen(2, "u")
 
 
 def test_support_minimality_retraction_probe():
