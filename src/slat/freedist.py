@@ -22,22 +22,22 @@ one.  A value of the extension is either a raw base value (rank 0) or a
 which joins with its mirror ``bowtie(b, a, c)`` back to ``c``; iterating
 the extension therefore forces distributivity.
 
-Joins are computed by rewriting the union of the two triple sets (a
-lower-rank operand enters as its own diagonal):
+Joins are computed by rewriting the union of the two stored triple sets
+beside both projections, each operand read at the higher rank (a
+lower-rank operand is its own projection with no triples):
 
-  1. ``step1``  -- merge every swapped pair into the diagonal of its
-                   shared third entry, in one pass;
-  2. ``phi``    -- fuse all diagonals into the projection, their join,
-                   and return it beside the other triples, the pair
-                   that ``step2`` and ``psi`` take;
+  1. ``step1``  -- find the triples in swapped pairs, in one pass;
+  2. ``phi``    -- join both projections and the merged pairs' third
+                   entries into the projection, and return it beside
+                   the other triples, the pair ``step2`` and ``psi`` take;
   3. ``step2``  -- absorb a triple whose middle entry sits below the
                    projection, raising the projection by its third
                    entry, repeated to a fixpoint;
   4. ``psi``    -- drop triples whose first or last entry sits below the
                    projection and package the survivors.
 
-The swapped pairs are disjoint and a merge adds only a diagonal, so
-step 1 has no choice to make.  The choice inside step 2's fixpoint is
+The swapped pairs are disjoint and a merge adds only to the projection,
+so step 1 has no choice to make.  The choice inside step 2's fixpoint is
 resolved lexicographically by serialization; ``join_with_order`` replays
 the same pipeline with a caller-supplied random order there (the
 canonical result must not depend on the choice, and the suites check
@@ -112,10 +112,6 @@ class Node:
         return f"red({self.proj!r}; [{triples}])"
 
 
-def is_diagonal(t: Triple) -> bool:
-    return t.u == t.v == t.w
-
-
 @lru_cache(maxsize=None)
 def rank(x) -> int:
     if not isinstance(x, Node):
@@ -154,14 +150,11 @@ def leq(base, x, y) -> bool:
         return True
     if not isinstance(x, Node) and not isinstance(y, Node):
         return base.leq(x, y)
-    r = max(rank(x), rank(y))
-    ly = _lift(y, r)
-    py = ly[0].u
-    yset = set(ly)
-    for t in _lift(x, r):
-        if t in yset:
-            continue
-        if not (leq(base, t.u, py) or leq(base, t.w, py)):
+    px, tx, py, ty = _at_common_rank(x, y)
+    if not (px == py or leq(base, px, py)):
+        return False
+    for t in tx:
+        if not (t in ty or leq(base, t.u, py) or leq(base, t.w, py)):
             return False
     return True
 
@@ -188,36 +181,37 @@ def join_all(base, items):
 
 
 def _rewrite_join(base, x, y, rng):
-    r = max(rank(x), rank(y))
-    ws = frozenset(_lift(x, r) + _lift(y, r))
-    p, rest = phi(base, step1(base, ws) or ws)
+    px, tx, py, ty = _at_common_rank(x, y)
+    ts = frozenset(tx + ty)
+    p, rest = phi(base, px, py, ts, step1(base, ts))
     while (nxt := step2(base, p, rest, rng)) is not None:
         p, rest = nxt
     return psi(base, p, rest)
 
 
-def _lift(x, r):
-    # x seen at rank r >= 1, diagonal first: a lower-rank x is its own diagonal.
-    if isinstance(x, Node) and rank(x) == r:
-        return (Triple(x.proj, x.proj, x.proj),) + x.triples
-    return (Triple(x, x, x),)
+def _at_common_rank(x, y):
+    # Both operands at the higher rank, as (projection, stored triples):
+    # a lower-rank operand is its own projection with no triples.
+    rx, ry = rank(x), rank(y)
+    px, tx = (x.proj, x.triples) if rx >= ry else (x, ())
+    py, ty = (y.proj, y.triples) if ry >= rx else (y, ())
+    return px, tx, py, ty
 
 
-def step1(base, ws: frozenset):
-    """Merge every swapped pair of non-diagonal triples; None if none."""
-    merged = {
-        t for t in ws if not is_diagonal(t) and Triple(t.v, t.u, t.w) in ws
-    }
-    if not merged:
-        return None
-    return ws - merged | {Triple(t.w, t.w, t.w) for t in merged}
+def step1(base, ts: frozenset):
+    """The triples that lie in swapped pairs; None if there are none."""
+    merged = frozenset(t for t in ts if (t[1], t[0], t[2]) in ts)
+    return merged or None
 
 
-def phi(base, ws: frozenset):
-    """Fuse the diagonals into the projection: (their join, the rest)."""
-    diags = {t for t in ws if is_diagonal(t)}
-    vals = sorted({t.u for t in diags}, key=lambda v: serialize(base, v))
-    return reduce(lambda a, b: join(base, a, b), vals), ws - diags
+def phi(base, px, py, ts: frozenset, merged):
+    """Join the projections and the merged third entries: (it, the rest)."""
+    vals = {px, py}
+    if merged:
+        vals.update(t.w for t in merged)
+        ts = ts - merged
+    vals = sorted(vals, key=lambda v: serialize(base, v))
+    return reduce(lambda a, b: join(base, a, b), vals), ts
 
 
 def step2(base, p, rest: frozenset, rng=None):

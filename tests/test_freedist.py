@@ -1,5 +1,7 @@
+import collections
 import copy
 import dataclasses
+import functools
 import pickle
 import random
 
@@ -27,6 +29,8 @@ from slat.freedist import (
     validate,
 )
 from slat.freepairs import BASE, ONE, ZERO, gen
+
+import helpers
 
 
 def proj(x):
@@ -136,23 +140,39 @@ def t(u, v, w):
     return Triple(u, v, w)
 
 
+def as_lifted(px, py, ts, merged):
+    """Step 1's result in the lifted form: the triples not merged beside
+    the diagonals of both projections and of the merged third entries."""
+    merged = merged or frozenset()
+    diags = {px, py} | {q.w for q in merged}
+    return ts - merged | {t(v, v, v) for v in diags}
+
+
 def test_step1_merges_swapped_pair():
-    ws = frozenset({t(A0, A1, ONE), t(A1, A0, ONE)})
-    assert step1(BASE, ws) == frozenset({t(ONE, ONE, ONE)})
+    ts = frozenset({t(A0, A1, ONE), t(A1, A0, ONE)})
+    assert step1(BASE, ts) == ts
+    assert as_lifted(ZERO, ZERO, ts, step1(BASE, ts)) == frozenset(
+        {t(ONE, ONE, ONE), t(ZERO, ZERO, ZERO)}
+    )
 
 
 def test_step1_fixpoint_signal():
-    ws = frozenset({t(A0, A1, ONE), t(ZERO, ZERO, ZERO)})
-    assert step1(BASE, ws) is None
+    # the diagonal <0, 0, 0> is the projection now, not a triple
+    ts = frozenset({t(A0, A1, ONE)})
+    assert step1(BASE, ts) is None
+    assert helpers.lifted_step1(ts | {t(ZERO, ZERO, ZERO)}) is None
 
 
 def test_step1_two_disjoint_pairs():
-    ws = frozenset(
+    ts = frozenset(
         {t(A0, A1, ONE), t(A1, A0, ONE), t(A0, B0, B0), t(B0, A0, B0)}
     )
-    once = step1(BASE, ws)
-    assert once == frozenset({t(ONE, ONE, ONE), t(B0, B0, B0)})
-    assert step1(BASE, once) is None
+    merged = step1(BASE, ts)
+    assert merged == ts
+    assert as_lifted(ZERO, ZERO, ts, merged) == frozenset(
+        {t(ONE, ONE, ONE), t(B0, B0, B0), t(ZERO, ZERO, ZERO)}
+    )
+    assert step1(BASE, ts - merged) is None
 
 
 def step1_one_pair_at_a_time(ws, rng):
@@ -161,7 +181,7 @@ def step1_one_pair_at_a_time(ws, rng):
         pairs = set()
         for q in ws:
             s = Triple(q.v, q.u, q.w)
-            if not freedist.is_diagonal(q) and s in ws:
+            if not helpers.is_diagonal(q) and s in ws:
                 pairs.add(frozenset((q, s)))
         if not pairs:
             return ws
@@ -173,12 +193,14 @@ def step1_one_pair_at_a_time(ws, rng):
         ws = ws - pick | {t(c, c, c)}
 
 
-def assert_step1_matches_oracle(ws, rng):
-    once = step1(BASE, ws)
+def assert_step1_matches_oracle(px, py, ts, ws, rng):
+    """Step 1 on the projections and triples against the one-pair oracle
+    on the lifted set ws."""
+    merged = step1(BASE, ts)
     for _ in range(3):
-        assert (once or ws) == step1_one_pair_at_a_time(ws, rng)
-    assert once is None or step1(BASE, once) is None
-    return once
+        assert as_lifted(px, py, ts, merged) == step1_one_pair_at_a_time(ws, rng)
+    assert merged is None or step1(BASE, ts - merged) is None
+    return merged
 
 
 def test_step1_matches_one_pair_at_a_time_on_join_operands():
@@ -195,43 +217,45 @@ def test_step1_matches_one_pair_at_a_time_on_join_operands():
                 y = freepairs.join(y, freepairs.bowtie(q.v, q.u, q.w))
         if not (isinstance(x, Node) or isinstance(y, Node)):
             continue
-        r = max(rank(x), rank(y))
-        ws = frozenset(freedist._lift(x, r) + freedist._lift(y, r))
-        once = assert_step1_matches_oracle(ws, rng)
-        merged.append(0 if once is None else len(ws - once) // 2)
+        px, tx, py, ty = freedist._at_common_rank(x, y)
+        ws = helpers.lifted_set(x, y)
+        once = assert_step1_matches_oracle(px, py, frozenset(tx + ty), ws, rng)
+        merged.append(0 if once is None else len(once) // 2)
     # the sample merges often, and often more than one pair in a call
     assert sum(m >= 1 for m in merged) >= 300
     assert sum(m >= 2 for m in merged) >= 10
 
 
 def test_step1_matches_one_pair_at_a_time_by_hand():
-    # three disjoint swapped pairs, the third's w already on the diagonal,
+    # three disjoint swapped pairs, the third's w already the projection,
     # and a triple with u == v, which is its own swap
-    ws = frozenset({
+    ts = frozenset({
         t(A0, A1, ONE), t(A1, A0, ONE),
         t(A0, B0, B0), t(B0, A0, B0),
-        t(A1, B1, A1), t(B1, A1, A1), t(A1, A1, A1),
+        t(A1, B1, A1), t(B1, A1, A1),
         t(B1, B1, ONE),
         t(A0, B1, ONE),
     })
     want = frozenset(
         {t(ONE, ONE, ONE), t(B0, B0, B0), t(A1, A1, A1), t(A0, B1, ONE)}
     )
-    assert step1(BASE, ws) == want
+    assert as_lifted(A1, A1, ts, step1(BASE, ts)) == want
+    assert step1(BASE, ts) == ts - {t(A0, B1, ONE)}
     rng = random.Random("freedist:step1-by-hand")
-    assert_step1_matches_oracle(ws, rng)
+    assert_step1_matches_oracle(A1, A1, ts, ts | {t(A1, A1, A1)}, rng)
 
 
 def test_phi_merges_diagonals():
-    ws = frozenset({t(A0, A0, A0), t(B0, B0, B0)})
     ab = freepairs.join(A0, B0)
-    assert phi(BASE, ws) == (ab, frozenset())
-    single = frozenset({t(A0, A0, A0)})
-    assert phi(BASE, single) == (A0, frozenset())
-    withzero = frozenset({t(ZERO, ZERO, ZERO), t(B0, B0, B0)})
-    assert phi(BASE, withzero) == (B0, frozenset())
+    assert phi(BASE, A0, B0, frozenset(), None) == (ab, frozenset())
+    assert phi(BASE, A0, A0, frozenset(), None) == (A0, frozenset())
+    assert phi(BASE, ZERO, B0, frozenset(), None) == (B0, frozenset())
     keep = t(A0, A1, ONE)
-    assert phi(BASE, ws | {keep}) == (ab, frozenset({keep}))
+    assert phi(BASE, A0, B0, frozenset({keep}), None) == (ab, frozenset({keep}))
+    # a merged pair's third entry joins the projections
+    pair = frozenset({t(A1, B1, B1), t(B1, A1, B1)})
+    got = phi(BASE, A0, B0, pair | {keep}, pair)
+    assert got == (freepairs.join(ab, B1), frozenset({keep}))
 
 
 def test_step2_absorbs_dominated_middle():
@@ -269,8 +293,8 @@ def test_psi_examples():
 
 def step2_on_set(ws, rng):
     """Oracle: step 2 on a set holding the projection as its one diagonal."""
-    (d,) = [q for q in ws if freedist.is_diagonal(q)]
-    cands = [q for q in ws if not freedist.is_diagonal(q) and leq(BASE, q.v, d.u)]
+    (d,) = [q for q in ws if helpers.is_diagonal(q)]
+    cands = [q for q in ws if not helpers.is_diagonal(q) and leq(BASE, q.v, d.u)]
     if not cands:
         return None
     cands.sort(key=lambda q: freedist.triple_key(BASE, q))
@@ -284,17 +308,16 @@ def join_on_set(x, y, rng):
 
     Returns the join and the number of step 2 rewrites.
     """
-    r = max(rank(x), rank(y))
-    ws = frozenset(freedist._lift(x, r) + freedist._lift(y, r))
-    p, rest = phi(BASE, step1(BASE, ws) or ws)
+    ws = helpers.lifted_set(x, y)
+    p, rest = helpers.lifted_phi(BASE, helpers.lifted_step1(ws) or ws)
     ws, steps = rest | {t(p, p, p)}, 0
     while (nxt := step2_on_set(ws, rng)) is not None:
         ws, steps = nxt, steps + 1
-    (d,) = [q for q in ws if freedist.is_diagonal(q)]
+    (d,) = [q for q in ws if helpers.is_diagonal(q)]
     keep = [
         q
         for q in ws
-        if not freedist.is_diagonal(q)
+        if not helpers.is_diagonal(q)
         and not leq(BASE, q.u, d.u)
         and not leq(BASE, q.w, d.u)
     ]
@@ -320,6 +343,150 @@ def test_projection_beside_triples_matches_one_diagonal_set():
     assert len(steps) >= 200
     assert sum(n >= 1 for n in steps) >= 40
     assert sum(n >= 2 for n in steps) >= 3
+
+
+# -- the lifted kernel as an oracle ------------------------------------------
+#
+# helpers.lifted_* is the order and join computed on operands lifted to sets
+# with their projections as diagonal triples, recursing only into itself.
+# The operands below are built with it too, so the library's memo tables
+# hold nothing of them when a comparison starts.
+
+
+def lifted_join_all(parts):
+    return functools.reduce(lambda a, b: helpers.lifted_join(BASE, a, b), parts)
+
+
+def split(a, b, c):
+    """bowtie(a, b, c) for nonzero a != b and nonzero c <= a v b."""
+    return Node(ZERO, (Triple(a, b, c),))
+
+
+class OperandGen:
+    """Seeded rank 1-2 values with a chosen number of stored triples.
+
+    Every splitting triple's third entry is a join of joinands of its
+    first two, so it lies below their join by construction.
+    """
+
+    def __init__(self, rng, names):
+        self.rng = rng
+        self.names = names
+
+    def atom(self):
+        names = self.rng.sample(self.names, self.rng.choice((1, 1, 2)))
+        gens = [gen(self.rng.randrange(2), n) for n in sorted(names)]
+        return lifted_join_all(gens), gens
+
+    def splitting(self, a, ja, b, jb):
+        parts = ja + jb
+        c = lifted_join_all(self.rng.sample(parts, self.rng.randint(1, 2)))
+        return split(a, b, c)
+
+    def rank1_joinand(self):
+        (a, ga), (b, gb) = self.atom(), self.atom()
+        while b == a:
+            b, gb = self.atom()
+        return self.splitting(a, ga, b, gb)
+
+    def rank1(self, width):
+        parts = [self.rank1_joinand() for _ in range(width)]
+        if self.rng.random() < 0.3:
+            parts.append(self.atom()[0])
+        return lifted_join_all(parts), parts
+
+    def rank2_joinand(self):
+        (a, ja), (b, jb) = self.rank1(1), self.rank1(self.rng.randint(1, 2))
+        while b == a:
+            b, jb = self.rank1(2)
+        return self.splitting(a, ja, b, jb)
+
+    def operand(self, r, width):
+        """A value of rank r with width stored triples."""
+        while True:
+            if r == 1:
+                x = self.rank1(width)[0]
+            else:
+                x = lifted_join_all([self.rank2_joinand() for _ in range(width)])
+            if helpers.lifted_rank(x) == r and len(x.triples) == width:
+                return x
+
+    def partner(self, x):
+        """A value for y in a pair with x: fresh, above x, or holding
+        mirrors of some of x's triples (swapped pairs split across the
+        operands), of rank 1-2 and width 2-4."""
+        while True:
+            kind = self.rng.choice(("fresh", "above", "mirror"))
+            y = self.operand(self.rng.randint(1, 2), self.rng.randint(2, 4))
+            if kind == "above":
+                y = helpers.lifted_join(BASE, x, y)
+            elif kind == "mirror":
+                mirrors = [split(q.v, q.u, q.w) for q in x.triples]
+                y = lifted_join_all([y] + self.rng.sample(mirrors, 1 + len(mirrors) // 2))
+            if isinstance(y, Node) and 2 <= len(y.triples) <= 4:
+                return kind, y
+
+
+def assert_kernel_matches_lifted_oracle(x, y, seed):
+    """leq both ways, join and a reordered join against the lifted kernel."""
+    assert leq(BASE, x, y) == helpers.lifted_leq(BASE, x, y)
+    assert leq(BASE, y, x) == helpers.lifted_leq(BASE, y, x)
+    assert join(BASE, x, y) == helpers.lifted_join(BASE, x, y)
+    got = join_with_order(BASE, x, y, random.Random(seed))
+    assert got == helpers.lifted_join(BASE, x, y, random.Random(seed))
+
+
+def test_kernel_matches_lifted_oracle_on_seeded_operands():
+    seen = collections.Counter()
+    for i in range(1200):
+        rng = random.Random(f"freedist:lifted-oracle:{i}")
+        gen_ = OperandGen(rng, ("x", "y", "z", "w")[: rng.randint(3, 4)])
+        x = gen_.operand(rng.randint(1, 2), rng.randint(2, 4))
+        kind, y = gen_.partner(x)
+        assert_kernel_matches_lifted_oracle(x, y, f"lifted-oracle:{i}")
+        seen[kind] += 1
+        seen["mixed rank"] += helpers.lifted_rank(x) != helpers.lifted_rank(y)
+        seen["rank 2"] += helpers.lifted_rank(x) == helpers.lifted_rank(y) == 2
+        seen["x <= y"] += leq(BASE, x, y)
+        seen["step 1 fires"] += helpers.lifted_step1(helpers.lifted_set(x, y)) is not None
+    # every kind of pair is drawn, and the order and the rewrite are reached
+    assert min(seen[k] for k in ("fresh", "above", "mirror")) >= 200, seen
+    assert seen["mixed rank"] >= 300 and seen["rank 2"] >= 300, seen
+    assert seen["x <= y"] >= 200 and seen["step 1 fires"] >= 150, seen
+
+
+def test_kernel_matches_lifted_oracle_by_hand():
+    s1 = bowtie(BASE, A0, A1, ONE)
+    s2 = bowtie(BASE, A0, B0, B0)
+    s3 = bowtie(BASE, B1, A1, A1)
+    x = join(BASE, s1, s2)
+    deep = bowtie(BASE, x, B0, x)
+    cases = {
+        # a lower-rank operand on either side
+        "rank 0 and 1": (B0, x),
+        "rank 1 and 2": (x, join(BASE, deep, s3)),
+        "rank 2 and 0": (deep, ONE),
+        # equal projections, different triples
+        "equal projections": (x, join(BASE, s1, s3)),
+        "equal nonzero projections": (
+            join(BASE, x, B1), join(BASE, join(BASE, s3, s2), B1)
+        ),
+        # one triple held by both operands
+        "shared triple": (join(BASE, s1, s3), join(BASE, s1, s2)),
+        # swapped pairs split across the operands
+        "swapped pairs split": (
+            x, join(BASE, bowtie(BASE, A1, A0, ONE), bowtie(BASE, B0, A0, B0))
+        ),
+        "x == y": (x, x),
+        "x == y at rank 2": (deep, deep),
+    }
+    for name, (a, b) in cases.items():
+        assert_kernel_matches_lifted_oracle(a, b, f"by-hand:{name}")
+        assert_kernel_matches_lifted_oracle(b, a, f"by-hand:{name}:swapped")
+    # the cases reach what they name
+    assert proj(x) == proj(cases["equal projections"][1]) == ZERO
+    assert set(x.triples) & set(cases["shared triple"][1].triples)
+    assert join(BASE, *cases["swapped pairs split"]) == join(BASE, ONE, B0)
 
 
 # -- join --------------------------------------------------------------------
