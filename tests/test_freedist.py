@@ -349,8 +349,8 @@ def test_projection_beside_triples_matches_one_diagonal_set():
 #
 # helpers.lifted_* is the order and join computed on operands lifted to sets
 # with their projections as diagonal triples, recursing only into itself.
-# The operands below are built with it too, so the library's memo tables
-# hold nothing of them when a comparison starts.
+# The operands below are built with it too, so building them fills none of
+# freedist's memo tables.
 
 
 def lifted_join_all(parts):
@@ -440,9 +440,9 @@ def test_kernel_matches_lifted_oracle_on_seeded_operands():
     seen = collections.Counter()
     for i in range(1200):
         rng = random.Random(f"freedist:lifted-oracle:{i}")
-        gen_ = OperandGen(rng, ("x", "y", "z", "w")[: rng.randint(3, 4)])
-        x = gen_.operand(rng.randint(1, 2), rng.randint(2, 4))
-        kind, y = gen_.partner(x)
+        ops = OperandGen(rng, ("x", "y", "z", "w")[: rng.randint(3, 4)])
+        x = ops.operand(rng.randint(1, 2), rng.randint(2, 4))
+        kind, y = ops.partner(x)
         assert_kernel_matches_lifted_oracle(x, y, f"lifted-oracle:{i}")
         seen[kind] += 1
         seen["mixed rank"] += helpers.lifted_rank(x) != helpers.lifted_rank(y)
