@@ -155,7 +155,7 @@ class FinAlgebra:
         if self.join_name is not None:
             return True
         con = self.con_index
-        principal = (con.cons[con.by_mask[m]] for m in set(con.pmask))
+        principal = (con.cons[con.join(m)] for m in set(con.pmask))
         return all(is_compatible(self, c, table=self.join) for c in principal)
 
     @cached_property
@@ -382,6 +382,23 @@ def join_closure(gens, join) -> frozenset:
     return frozenset(found)
 
 
+class JoinTable(dict):
+    """Mask over J(Con A) to the index of the join of the join-irreducibles
+    it sets, seeded with jmask.  A miss (only when Con A is not distributive)
+    stores the upper bound with the fewest mask bits, which is the join: an
+    upper bound's mask holds the join's, strictly when it is another one."""
+
+    def __init__(self, jmask: tuple):
+        super().__init__(zip(jmask, range(len(jmask))))
+        self.jmask = jmask
+
+    def __missing__(self, m: int) -> int:
+        # compress, not a generator: a closure cell for m slows every miss
+        ups = itertools.compress(self.jmask, map(m.__eq__, map(m.__and__, self.jmask)))
+        i = self[m] = self[min(ups, key=int.bit_count)]
+        return i
+
+
 class Congruences:
     """Con A of one algebra: every congruence, sorted by ``block_of``, and
     each one as a bitmask over J(Con A), the join-irreducible congruences.
@@ -390,61 +407,50 @@ class Congruences:
     is the join of the join-irreducibles below it, so distinct congruences
     have distinct masks, a ≤ b exactly when jmask[a] is a subset of
     jmask[b], and jmask[a] & jmask[b] is the mask of a ∧ b; the identity
-    congruence is last.  ``by_mask`` inverts ``jmask``, and
-    ``pmask[x * n + y]``, filled in by ``all_congruences``, is the mask of
-    Θ(x, y).  When Con A is distributive, as it is for every lattice, the
-    masks are exactly the down-sets of J(Con A) (Birkhoff), and the union
-    of two masks is the mask of the join.
+    congruence is last.  ``join`` is the ``__getitem__`` of a JoinTable,
+    and ``pmask[x * n + y]``, filled in by ``all_congruences``, is the mask
+    of Θ(x, y).  When Con A is distributive, as it is for every lattice, the
+    masks are exactly the down-sets of J(Con A) (Birkhoff), so a union of
+    masks is a mask and a join runs no Python frame.
     """
 
     def __init__(self, cons: tuple, jmask: tuple):
         self.cons, self.jmask = cons, jmask
-        self.by_mask = {m: i for i, m in enumerate(jmask)}
-        self.bounds = {}  # a union that is no congruence's mask to its join's index
+        self.join = JoinTable(jmask).__getitem__
         self.pmask = ()
 
     def __len__(self) -> int:
         return len(self.cons)
 
-    def join(self, m: int) -> int:
-        """The index of the join of the join-irreducibles that m sets: the
-        congruence whose mask is m if there is one (always, when Con A is
-        distributive), else the upper bound (mask holding m) with the
-        fewest mask bits.  That bound is unique: every upper bound lies
-        above the join, so its mask holds the join's, and strictly when it
-        is another congruence, since the masks are distinct."""
-        i = self.by_mask.get(m)
-        if i is None:
-            i = self.bounds.get(m)
-        if i is None:  # compress, not a generator: a closure cell for m slows every call
-            ups = itertools.compress(self.jmask, map(m.__eq__, map(m.__and__, self.jmask)))
-            i = self.bounds[m] = self.by_mask[min(ups, key=int.bit_count)]
-        return i
 
-
-def _fill_pmask(L: FinAlgebra, pmask: list, close) -> None:
-    """Fill ``pmask`` from the masks of the covers in it: that of a < b is the
-    join of those of a ≺ c and c < b, c the first cover of a below b (fewer
-    above first, so c < b is known), and that of x, y is the join of those
-    of x < x v y and y < x v y.  ``close`` takes a union to the join."""
+def _fill_pmask(L: FinAlgebra, con: Congruences, pmask: list) -> None:
+    """Fill ``pmask`` from the masks of the covers in it and store it as
+    ``con.pmask``: that of a < b is the join (by ``con``) of those of a ≺ c
+    and c < b, c the first cover of a below b (fewer above first, so c < b
+    is known), and that of x, y the join of those of x < x v y, y < x v y."""
     n, join, up, upper = L.size, L.join, L.order[1], L.covers
+    jmask, lub = con.jmask, con.join
     for a in sorted(range(n), key=lambda a: up[a].bit_count()):
         for b in range(n):
             if pmask[a * n + b] is None and up[a] >> b & 1:
                 c = next(c for c in upper[a] if up[c] >> b & 1)
-                m = close(pmask[a * n + c] | pmask[c * n + b])
+                m = jmask[lub(pmask[a * n + c] | pmask[c * n + b])]
                 pmask[a * n + b] = pmask[b * n + a] = m
     for x, y in itertools.combinations(range(n), 2):
         if pmask[x * n + y] is None:
             s = join[x * n + y]
-            pmask[x * n + y] = pmask[y * n + x] = close(pmask[x * n + s] | pmask[y * n + s])
+            pmask[x * n + y] = pmask[y * n + x] = jmask[lub(pmask[x * n + s] | pmask[y * n + s])]
+    con.pmask = tuple(pmask)
 
 
 def _lattice_congruences(L: FinAlgebra) -> Congruences:
     """Con L of a lattice from Freese's dependency relation on J(L), with
     no partition closure (see ``all_congruences``)."""
     n, join, (down, up), upper = L.size, L.join, L.order, L.covers
-    lower = [[a for a in range(n) if b in upper[a]] for b in range(n)]
+    lower = [[] for _ in range(n)]  # each element's lower covers, in label order
+    for a, ups in enumerate(upper):
+        for b in ups:
+            lower[b].append(a)
     irr = [j for j in range(n) if len(lower[j]) == 1]  # J(L); j_* is lower[j][0]
     jbits = sum(1 << j for j in irr)
     below = {}  # k to the j with j D k (then j D* k), as a bitmask over L
@@ -457,6 +463,7 @@ def _lattice_congruences(L: FinAlgebra) -> Congruences:
     # The classes of D*, each a below-set, smaller ones first: J(Con L) in
     # a linear extension of its order, and each one's down-set mask.
     classes = sorted(set(below.values()), key=lambda s: (s.bit_count(), s))
+    where = {s: g for g, s in enumerate(classes)}
     gmask = [sum(1 << h for h, t in enumerate(classes) if t & s == t) for s in classes]
     masks = [0]  # the down-sets of J[0..g-1], each extended by J[g] when it holds all below J[g]
     for g, d in enumerate(gmask):
@@ -470,7 +477,7 @@ def _lattice_congruences(L: FinAlgebra) -> Congruences:
     for b in sorted(range(n), key=lambda b: down[b].bit_count()):
         for a in lower[b]:
             j = next(j for j in irr if (down[b] & ~down[a]) >> j & 1)
-            g = classes.index(below[j])
+            g = where[below[j]]
             pmask[a * n + b] = pmask[b * n + a] = gmask[g]
             steps.append((b, a, g))
     # A congruence class of a lattice is an interval, so an element that is
@@ -484,8 +491,7 @@ def _lattice_congruences(L: FinAlgebra) -> Congruences:
         cons.append(congruence_from_blockof(block))
     order = sorted(range(len(cons)), key=lambda i: cons[i].block_of)
     con = Congruences(tuple(cons[i] for i in order), tuple(masks[i] for i in order))
-    _fill_pmask(L, pmask, lambda m: m)
-    con.pmask = tuple(pmask)
+    _fill_pmask(L, con, pmask)
     return con
 
 
@@ -542,9 +548,7 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     pmask[:: n + 1] = [0] * n  # Θ(x, x) is the identity congruence
     for (x, y), c in zip(pairs, thetas):
         pmask[x * n + y] = pmask[y * n + x] = mask[c]
-    if joined:
-        _fill_pmask(L, pmask, lambda m: jmask[con.join(m)])
-    con.pmask = tuple(pmask)
+    _fill_pmask(L, con, pmask)  # without a basic join, every pair's Θ is in pmask
     return con
 
 
@@ -586,11 +590,11 @@ def conc(L: FinAlgebra) -> ConcResult:
     ``semilattice()``'s recheck; its zero is the identity congruence, last.
     """
     con = L.con_index
-    k, jmask = len(con), con.jmask
-    table = tuple(map(con.join, [mb | ma for mb in jmask for ma in jmask]))
-    pairs = itertools.product(range(L.size), repeat=2)
-    pair_index = dict(zip(pairs, map(con.by_mask.__getitem__, con.pmask)))
-    return ConcResult(FinAlgebra(k, (Operation("join", 2, table),), table), con.cons, pair_index)
+    rows = (map(con.join, map(mb.__or__, con.jmask)) for mb in con.jmask)
+    table = tuple(itertools.chain.from_iterable(rows))
+    S = FinAlgebra(len(con), (Operation("join", 2, table),), table)
+    pair_index = dict(zip(itertools.product(range(L.size), repeat=2), map(con.join, con.pmask)))
+    return ConcResult(S, con.cons, pair_index)
 
 
 def is_distributive(S: FinAlgebra) -> bool:
@@ -769,56 +773,52 @@ class ErosionResult(NamedTuple):
 
 
 def erosion(L: FinAlgebra, x0: int, x1: int, zs) -> ErosionResult:
-    """Build the alternating-chain congruences u0, u1 and verify the
-    three guarantees: the end joins are congruent mod u0 v u1, each u_j
-    sits inside a_j and the one-sided principal bound, and each u_j is
-    generated over {x_j} v Z.
+    """Build the alternating-chain congruences u0, u1 of the sequence zs
+    and verify the three guarantees: the end joins are congruent mod
+    u0 v u1, each u_j sits inside a_j and the one-sided principal bound,
+    and each u_j is generated over {x_j} v Z.
     """
-    zs = list(zs)
-    n = len(zs) - 1
+    n, size = len(zs) - 1, L.size
     if n < 1:
         raise freedist.DomainError("need at least two chain entries")
-    if any(not (0 <= z < L.size) for z in zs) or not (
-        0 <= x0 < L.size and 0 <= x1 < L.size
-    ):
+    if not (0 <= min(zs) and max(zs) < size and 0 <= x0 < size and 0 <= x1 < size):
         raise freedist.DomainError("element out of range")
-    if not check_congruence_compatible(L):
+    if not L.join_compatible:
         raise freedist.DomainError("designated join not congruence-compatible")
-    prefix = L.join_all(zs[:n])
-    if not L.leq(prefix, zs[n]):
+    join, last, total = L.join, zs[n], zs[0]
+    for z in zs:  # the join of every entry is the last exactly when the chain condition holds
+        total = join[total * size + z]
+    if total != last:
         raise freedist.DomainError("join of leading entries must lie below the last")
 
     # Every check is on masks over J(Con A) (see Congruences): b ≤ c is
     # jmask[b] ⊆ jmask[c], and a join is read off the union of the masks.
     con = L.con_index
-    jmask, pmask, join, size = con.jmask, con.pmask, L.join, L.size
-    x = (x0, x1)
-    u, bounded, member = [], [], []
-    for j in (0, 1):
-        row = x[j] * size
-        vj = aj = 0
+    jmask, pmask, lub = con.jmask, con.pmask, con.join
+    sides = []  # (u_j, its mask, bounded, member) for j = 0, 1
+    for j, x in enumerate((x0, x1)):
+        row = x * size  # join[row + z] is x v z
+        v = a = 0
         for i in range(j, n, 2):  # the i with epsilon(i) == j
-            vj |= pmask[join[row + zs[i]] * size + join[row + zs[i + 1]]]
-            aj |= pmask[zs[i] * size + zs[i + 1]]
-        u.append(con.join(vj))
-        uj = jmask[u[j]]
-        # Θ⁺(z_n, x_j) = Θ(x_j, z_n ∨ x_j)
-        bound = jmask[con.join(aj)] & pmask[row + join[row + zs[n]]]
-        bounded.append(uj & ~bound == 0)
+            v |= pmask[join[row + zs[i]] * size + join[row + zs[i + 1]]]
+            a |= pmask[zs[i] * size + zs[i + 1]]
+        u = lub(v)
+        um = jmask[u]
         # u_j is a join of generators exactly when it is the join of those
         # below it, the empty join being the identity congruence.
         below = 0
         for p, q in itertools.combinations({join[row + z] for z in zs}, 2):
-            if pmask[p * size + q] & ~uj == 0:
-                below |= pmask[p * size + q]
-        member.append(con.join(below) == u[j])
+            if not (m := pmask[p * size + q]) & ~um:
+                below |= m
+        # Θ⁺(z_n, x_j) = Θ(x_j, z_n ∨ x_j)
+        bound = jmask[lub(a)] & pmask[row + join[row + last]]
+        sides.append((u, um, um & ~bound == 0, lub(below) == u))
+    (u0, m0, b0, e0), (u1, m1, b1, e1) = sides
 
-    lhs = L.join_of(L.join_of(zs[0], x0), x1)
-    rhs = L.join_of(L.join_of(zs[n], x0), x1)
-    both = jmask[con.join(jmask[u[0]] | jmask[u[1]])]
-    congruent = pmask[lhs * size + rhs] & ~both == 0
-    cons = con.cons
-    return ErosionResult(cons[u[0]], cons[u[1]], congruent, tuple(bounded), tuple(member))
+    lhs = join[join[zs[0] * size + x0] * size + x1]
+    rhs = join[join[last * size + x0] * size + x1]
+    congruent = pmask[lhs * size + rhs] & ~jmask[lub(m0 | m1)] == 0
+    return ErosionResult(con.cons[u0], con.cons[u1], congruent, (b0, b1), (e0, e1))
 
 
 # ---------------------------------------------------------------------------

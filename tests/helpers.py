@@ -12,6 +12,17 @@ def refines(c1: Congruence, c2: Congruence) -> bool:
     return len(set(zip(c1.block_of, c2.block_of))) == len(set(c1.block_of))
 
 
+def scan_join(jmask: tuple, m: int) -> int:
+    """The index of the join of the join-irreducibles that m sets, by a scan
+    of every congruence's mask in jmask: the congruence whose mask is m if
+    there is one, else the upper bound (mask holding m) with the fewest mask
+    bits.  The oracle for Congruences.join."""
+    if m in jmask:
+        return jmask.index(m)
+    ups = [i for i, k in enumerate(jmask) if k & m == m]
+    return min(ups, key=lambda i: jmask[i].bit_count())
+
+
 # -- the lifted join and order kernel ----------------------------------------
 #
 # The extension's order and join as computed before the rewrite read each

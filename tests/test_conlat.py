@@ -11,6 +11,7 @@ from slat.cli import main
 from slat.conlat import (
     FinAlgebra,
     FormatError,
+    JoinTable,
     all_congruences,
     all_partitions,
     check_congruence_compatible,
@@ -38,7 +39,7 @@ from slat.conlat import (
 )
 from slat.freedist import DomainError
 
-from helpers import refines
+from helpers import refines, scan_join
 
 
 def bare_chain(n):
@@ -640,12 +641,22 @@ def test_erosion_single_step_chain():
 
 def test_erosion_preconditions():
     L = corpus.chain(3)
-    with pytest.raises(DomainError):
-        erosion(L, 0, 0, (2, 0))  # leading join not below the last entry... 2 <= 0 fails
-    with pytest.raises(DomainError):
-        erosion(L, 0, 0, (1,))  # too short
-    with pytest.raises(DomainError):
-        erosion(bare_chain(3), 0, 0, (0, 1, 2))  # incompatible designated join
+    cases = [
+        (L, 0, 0, (1,), "need at least two chain entries"),
+        (L, 0, 0, (7,), "need at least two chain entries"),  # length is checked first
+        (L, 3, 0, (0, 1, 2), "element out of range"),
+        (L, 0, -1, (0, 1, 2), "element out of range"),
+        (L, 0, 0, (-1, 1, 2), "element out of range"),
+        (L, 0, 0, (0, 1, 3), "element out of range"),
+        (bare_chain(3), 0, 0, (0, 1, 5), "element out of range"),  # range before compatibility
+        (bare_chain(3), 0, 0, (0, 1, 2), "designated join not congruence-compatible"),
+        (bare_chain(3), 0, 0, (2, 0), "designated join not congruence-compatible"),
+        (L, 0, 0, (2, 0), "join of leading entries must lie below the last"),
+        (L, 0, 0, (2, 0, 1), "join of leading entries must lie below the last"),
+    ]
+    for A, x0, x1, zs, text in cases:
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            erosion(A, x0, x1, zs)
 
 
 def test_erosion_works_without_top():
@@ -881,15 +892,29 @@ def test_join_only_algebras_include_nondistributive_con():
     flat = [name for name, L in algebras if not is_distributive(conc(L).table)]
     assert len(algebras) == 21 and len(flat) == 15
     # Con A is a lattice of sets exactly when its masks are closed under
-    # union, so Congruences.join scans for the least upper bound on every
-    # algebra whose Con A is not distributive, and on those alone.  Each
-    # union it scans is kept in bounds, apart from by_mask.
+    # union, so the join table misses on every algebra whose Con A is not
+    # distributive, and on those alone.  Each union it misses on is kept,
+    # beside the masks it was seeded with.
     square = [("swapped-square", swapped_square())]
     for name, L in corpus_and_products() + algebras + square:
         con = L.con_index
+        table, masks = JoinTable(con.jmask), set(con.jmask)
         unions = {ma | mb for ma in con.jmask for mb in con.jmask}
-        assert is_distributive(conc(L).table) == (unions <= con.by_mask.keys()), name
-        assert con.bounds.keys() == unions - con.by_mask.keys(), name
+        assert is_distributive(conc(L).table) == (unions <= masks), name
+        assert all(table[m] == con.join(m) for m in unions), name
+        assert table.keys() - masks == unions - masks, name
+
+
+def test_join_table_matches_the_scan():
+    # Every union of two and of three masks, against the scan that looks up
+    # no table.
+    square = [("swapped-square", swapped_square())]
+    for name, L in corpus_and_products() + join_only_algebras() + square:
+        con = L.con_index
+        unions = {ma | mb for ma in con.jmask for mb in con.jmask}
+        unions |= {m | mc for m in unions for mc in con.jmask}
+        for m in unions:
+            assert con.join(m) == scan_join(con.jmask, m), (name, m)
 
 
 def test_zero_is_the_element_below_every_element():
