@@ -188,8 +188,8 @@ def evaluate(e):
     if isinstance(e, GenExpr):
         return freepairs.gen(e.i, e.name)
     if isinstance(e, JoinExpr):
-        out = freepairs.ZERO
-        for arg in e.args:
+        out = evaluate(e.args[0]) if e.args else freepairs.ZERO
+        for arg in e.args[1:]:
             out = freepairs.join(out, evaluate(arg))
         return out
     if isinstance(e, BowtieExpr):

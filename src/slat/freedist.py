@@ -16,7 +16,8 @@ one.  A value of the extension is either a raw base value (rank 0) or a
   * no entry of a stored triple lies below the projection;
   * triples are sorted by their serialization, so structural equality of
     canonical forms is equality in the extension and equal elements
-    serialize identically.
+    serialize identically; each triple's key, ``triple_key``, is memoized
+    per base like ``serialize``, so a sort pays one lookup a triple.
 
 ``bowtie(a, b, c)`` adjoins, for ``c <= a v b``, an element below ``a``
 which joins with its mirror ``bowtie(b, a, c)`` back to ``c``; iterating
@@ -43,6 +44,9 @@ the same pipeline with a caller-supplied random order there (the
 canonical result must not depend on the choice, and the suites check
 that it does not).
 
+``map_elem`` extends a base homomorphism, mapping each distinct
+sub-value once per call and keeping no image after it.
+
 Values built here are canonical by construction and are not rechecked;
 ``validate`` checks what ``expr.deserialize`` reads and is the tests' oracle.
 
@@ -54,7 +58,7 @@ interpreter stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Any, NamedTuple
 
 
@@ -132,13 +136,15 @@ def serialize(base, x) -> str:
     return f"red({serialize(base, x.proj)}; [{triples}])"
 
 
+@lru_cache(maxsize=None)
 def triple_key(base, t: Triple):
     return tuple(serialize(base, c) for c in t)
 
 
 def make_node(base, projection, triples):
-    """Package a projection and surviving triples as a canonical element."""
-    ts = sorted(set(triples), key=lambda t: triple_key(base, t))
+    """Package a projection and surviving triples as a canonical element,
+    the triples in the order of their memoized ``triple_key``."""
+    ts = sorted(set(triples), key=partial(triple_key, base))
     if not ts:
         return projection
     return Node(projection, tuple(ts))
@@ -223,8 +229,8 @@ def step2(base, p, rest: frozenset, rng=None):
     cands = [t for t in rest if leq(base, t.v, p)]
     if not cands:
         return None
-    cands.sort(key=lambda t: triple_key(base, t))
-    t = rng.choice(cands) if rng is not None else cands[0]
+    key = partial(triple_key, base)
+    t = min(cands, key=key) if rng is None else rng.choice(sorted(cands, key=key))
     return join(base, t.w, p), rest - {t}
 
 
@@ -255,20 +261,23 @@ def map_elem(dst, f, x):
     """Extend a base homomorphism f into the base dst over the whole extension.
 
     Decomposes x into its projection and per-triple splitting elements,
-    maps each through f, and re-joins.
+    maps each through f, and re-joins, each distinct sub-value once.
     """
-    if not isinstance(x, Node):
-        return f(x)
-    out = map_elem(dst, f, x.proj)
-    for t in x.triples:
-        img = bowtie(
-            dst,
-            map_elem(dst, f, t.u),
-            map_elem(dst, f, t.v),
-            map_elem(dst, f, t.w),
-        )
-        out = join(dst, out, img)
-    return out
+    images = {}
+
+    def image(y):
+        if y not in images:
+            if isinstance(y, Node):
+                out = image(y.proj)
+                for t in y.triples:
+                    img = bowtie(dst, image(t.u), image(t.v), image(t.w))
+                    out = join(dst, out, img)
+            else:
+                out = f(y)
+            images[y] = out
+        return images[y]
+
+    return image(x)
 
 
 @lru_cache(maxsize=None)

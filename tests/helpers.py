@@ -3,7 +3,7 @@
 from functools import reduce
 
 from slat.conlat import Congruence
-from slat.freedist import Node, Triple
+from slat.freedist import DomainError, Node, Triple
 
 
 def refines(c1: Congruence, c2: Congruence) -> bool:
@@ -30,7 +30,8 @@ def scan_join(jmask: tuple, m: int) -> int:
 # the higher rank as a set holding the projection as a diagonal triple
 # <p, p, p>, and a lower-rank operand as its own diagonal.  These functions
 # call each other and the base only, never freedist's memo tables, so they
-# are an independent oracle for freedist.leq, join and join_with_order.
+# are an independent oracle for freedist.leq, join, join_with_order and
+# map_elem, and lifted_key for the canonical order of triples.
 
 
 def is_diagonal(t: Triple) -> bool:
@@ -127,3 +128,27 @@ def lifted_join(base, x, y, rng=None):
     if not keep:
         return p
     return Node(p, tuple(sorted(set(keep), key=lambda t: lifted_key(base, t))))
+
+
+def lifted_bowtie(base, a, b, c):
+    """freedist.bowtie on the lifted kernel."""
+    if not lifted_leq(base, c, lifted_join(base, a, b)):
+        raise DomainError("not in C(S)")
+    zero = base.ZERO
+    if a == b or b == zero or c == zero:
+        return c
+    if a == zero:
+        return zero
+    return Node(zero, (Triple(a, b, c),))
+
+
+def lifted_map(dst, f, x):
+    """freedist.map_elem on the lifted kernel, keeping no images: every
+    occurrence of a sub-value is mapped, split and re-joined again."""
+    if not isinstance(x, Node):
+        return f(x)
+    out = lifted_map(dst, f, x.proj)
+    for t in x.triples:
+        img = lifted_bowtie(dst, *(lifted_map(dst, f, c) for c in t))
+        out = lifted_join(dst, out, img)
+    return out

@@ -43,6 +43,18 @@ def test_evaluate_examples():
     assert parse_eval("1") == freepairs.ONE
 
 
+def test_evaluate_join_folds_from_the_first_argument():
+    # the fold starts at the first argument, and agrees with join_all's
+    # fold from zero; a join with no arguments (never parsed) is zero
+    split = expr.BowtieExpr(expr.GenExpr(0, "x"), expr.GenExpr(1, "x"), expr.Lit(1))
+    terms = [split, expr.GenExpr(0, "y"), expr.Lit(0), expr.Lit(1)]
+    assert expr.evaluate(expr.JoinExpr(())) == freepairs.ZERO
+    for args in ([split], [split, terms[1]], terms[1:3], terms, terms[::-1]):
+        want = freepairs.join_all([expr.evaluate(a) for a in args])
+        assert expr.evaluate(expr.JoinExpr(tuple(args))) == want
+    assert expr.evaluate(split) != freepairs.ZERO
+
+
 def test_evaluate_bowtie_domain_error_names_subexpression():
     with pytest.raises(DomainError) as err:
         parse_eval("join(a0(y),bowtie(a0(x),a0(x),1))")

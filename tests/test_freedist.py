@@ -2,6 +2,7 @@ import collections
 import copy
 import dataclasses
 import functools
+import itertools
 import pickle
 import random
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slat import conlat, expr, freedist, freepairs
+from slat import conlat, expr, freedist, freepairs, pairs
 from slat.freedist import (
     DomainError,
     Node,
@@ -19,6 +20,7 @@ from slat.freedist import (
     join,
     join_with_order,
     leq,
+    make_node,
     map_elem,
     phi,
     psi,
@@ -489,6 +491,83 @@ def test_kernel_matches_lifted_oracle_by_hand():
     assert join(BASE, *cases["swapped pairs split"]) == join(BASE, ONE, B0)
 
 
+# -- canonical order ---------------------------------------------------------
+
+
+def assert_order_matches_uncached_key(base, p, triples, seed):
+    """make_node's order and step 2's choice, without and with an rng,
+    against the uncached serialization key.  Returns step 2's candidates
+    in that key's order."""
+
+    def key(q):
+        return helpers.lifted_key(base, q)
+
+    shuffled = list(triples)
+    random.Random(seed).shuffle(shuffled)
+    want = Node(p, tuple(sorted(set(triples), key=key)))
+    assert make_node(base, p, shuffled) is want
+    rest = frozenset(triples)
+    cands = sorted((q for q in rest if helpers.lifted_leq(base, q.v, p)), key=key)
+    if not cands:
+        assert step2(base, p, rest) is None
+        return cands
+    drawn = random.Random(seed).choice(cands)
+    for q, got in (
+        (cands[0], step2(base, p, rest)),
+        (drawn, step2(base, p, rest, random.Random(seed))),
+    ):
+        assert got == (join(base, q.w, p), rest - {q})
+    return cands
+
+
+def test_canonical_order_matches_uncached_key_on_seeded_operands():
+    seen = collections.Counter()
+    for i in range(300):
+        rng = random.Random(f"freedist:order-oracle:{i}")
+        ops = OperandGen(rng, ("x", "y", "z", "w")[: rng.randint(3, 4)])
+        r = rng.randint(1, 2)
+        x, y = (ops.operand(r, rng.randint(2, 4)) for _ in range(2))
+        triples = x.triples + y.triples
+        # a projection above some middle entries, so step 2 has a choice
+        middles = [q.v for q in rng.sample(triples, rng.randint(1, 3))]
+        p = lifted_join_all([x.proj] + middles)
+        cands = assert_order_matches_uncached_key(BASE, p, triples, f"order:{i}")
+        seen[f"rank {r}"] += 1
+        seen["two or more candidates"] += len(cands) >= 2
+    assert min(seen["rank 1"], seen["rank 2"]) >= 100, seen
+    assert seen["two or more candidates"] >= 150, seen
+
+
+class ReversedTableBase(TableBase):
+    """A table base whose values serialize in the reverse order."""
+
+    def serialize(self, a):
+        return str(9 - a)
+
+
+def test_canonical_order_keeps_bases_apart():
+    # The same ints serialize in opposite orders over the two bases, so
+    # the triple key memo must answer each base from its own keys, even
+    # right after the other base's keys were memoized.
+    fwd = diamond_base()
+    rev = ReversedTableBase(fwd.table)
+    pool = list(range(4))
+    for a, b, c in itertools.product(range(4), repeat=3):
+        if fwd.leq(c, fwd.join(a, b)):
+            pool.append(bowtie(fwd, a, b, c))
+    pool = list(dict.fromkeys(pool))
+    rng = random.Random("freedist:two-bases")
+    triples = {Triple(*rng.sample(pool, 3)) for _ in range(40)}
+    orders, absorbed = [], []
+    for base in (fwd, rev, fwd):
+        cands = assert_order_matches_uncached_key(base, 3, triples, "two-bases")
+        orders.append(make_node(base, 3, triples).triples)
+        absorbed.append(cands[0])
+    assert orders[0] == orders[2] != orders[1]
+    assert absorbed[0] == absorbed[2] != absorbed[1]
+    assert any(isinstance(c, Node) for q in triples for c in q)
+
+
 # -- join --------------------------------------------------------------------
 
 
@@ -676,6 +755,76 @@ def test_map_elem_composition_across_three_bases():
         composed = map_elem(two, lambda p: g(f(p)), x)
         staged = map_elem(two, g, map_elem(diamond, f, x))
         assert composed == staged
+
+
+def sub_values(x):
+    """Every occurrence of a sub-value of x, x itself included."""
+    out = [x]
+    if isinstance(x, Node):
+        for part in (x.proj,) + tuple(c for q in x.triples for c in q):
+            out += sub_values(part)
+    return out
+
+
+def renaming(table):
+    return lambda name: table.get(name, name)
+
+
+# a renaming with no two names meeting, and one where y lands on x, so a
+# pair value holding x and y in opposite polarities collapses to top
+INJECTIVE = renaming({"x": "y", "y": "z", "z": "w", "w": "v"})
+COLLAPSING = renaming({"y": "x"})
+
+
+def lifted_map_names(f, x):
+    return helpers.lifted_map(BASE, lambda p: pairs.map_generators(f, p), x)
+
+
+def assert_map_matches_memo_free_oracle(x, alpha, i):
+    """map_names under both renamings and retract against helpers.lifted_map."""
+    for f in (INJECTIVE, COLLAPSING):
+        assert freepairs.map_names(f, x) == lifted_map_names(f, x)
+    want = helpers.lifted_map(BASE, lambda p: pairs.retract(alpha, i, p), x)
+    assert freepairs.retract(alpha, i, x) == want
+
+
+def test_map_elem_matches_memo_free_oracle_on_seeded_values():
+    seen = collections.Counter()
+    for i in range(150):
+        rng = random.Random(f"freedist:map-oracle:{i}")
+        ops = OperandGen(rng, ("x", "y", "z", "w")[: rng.randint(3, 4)])
+        x = ops.operand(rng.randint(1, 2), rng.randint(2, 4))
+        assert_map_matches_memo_free_oracle(x, rng.choice(ops.names), rng.randrange(2))
+        parts = sub_values(x)
+        seen[f"rank {rank(x)}"] += 1
+        seen["shared sub-values"] += len(set(parts)) < len(parts)
+        seen["collapses to top"] += any(
+            p != ONE and pairs.map_generators(COLLAPSING, p) == ONE
+            for p in parts
+            if not isinstance(p, Node)
+        )
+    # both ranks are drawn, and the per-call images and the collapse are used
+    assert min(seen["rank 1"], seen["rank 2"]) >= 50, seen
+    assert seen["shared sub-values"] >= 100, seen
+    assert seen["collapses to top"] >= 40, seen
+
+
+def test_map_elem_keeps_no_image_between_calls():
+    # one value mapped by two renamings back to back, then by the first
+    # again: an image kept from an earlier call would show in the next
+    rng = random.Random("freedist:map-back-to-back")
+    ops = OperandGen(rng, ("x", "y", "z"))
+    swap = renaming({"x": "y", "y": "x"})
+    differ = 0
+    for _ in range(30):
+        x = ops.operand(rng.randint(1, 2), rng.randint(2, 4))
+        fx = freepairs.map_names(INJECTIVE, x)
+        sx = freepairs.map_names(swap, x)
+        assert fx == lifted_map_names(INJECTIVE, x)
+        assert sx == lifted_map_names(swap, x)
+        assert freepairs.map_names(INJECTIVE, x) is fx
+        differ += fx != sx
+    assert differ >= 25
 
 
 # -- distributivity witness --------------------------------------------------
