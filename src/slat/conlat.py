@@ -256,35 +256,37 @@ def _check_semilattice_table(size: int, table) -> tuple:
     """The join table as a tuple, if it is idempotent, commutative and
     associative; else a ValueError naming the first failing cell.
 
-    Row a is checked at once: against column a, and (a v b) v c against
-    a v (b v c) for every b and c, as tuples.  Only a row that fails is
-    walked cell by cell, in the order idempotence at a, then for each b
-    commutativity at (a, b) and associativity at (a, b, c) for each c.
+    With a ≤ b when a v b = b, an idempotent, commutative table is
+    associative exactly when up[a v b] == up[a] & up[b] for all a, b: then
+    b ≤ c gives up[c] ⊆ up[b] (transitivity) and a v b is the least upper
+    bound.  Only a table that fails this O(n²) test is walked, in the order
+    idempotence at a, then for each b commutativity at (a, b) and, as one
+    tuple over c, associativity at (a, b, c).
     """
     table = tuple(table)
     if len(table) != size * size:
         raise ValueError(f"join table needs {size * size} entries")
     if table and (min(table) < 0 or max(table) >= size):
         raise ValueError("join table entry out of range")
-    if size < 2:
-        # () or (0,), both semilattices; itemgetter of one index gives no tuple.
-        return table
     rows = [table[a * size:a * size + size] for a in range(size)]
-    across = itemgetter(*table)  # row a to a v (b v c) for every b, c
-    for a, row in enumerate(rows):
-        if (
-            row[a] == a
-            and row == table[a::size]
-            and across(row) == tuple(itertools.chain.from_iterable(map(rows.__getitem__, row)))
-        ):
-            continue
-        if row[a] != a:
-            raise ValueError(f"join not idempotent at {a}")
-        for b in range(size):
-            if row[b] != table[b * size + a]:
-                raise ValueError(f"join not commutative at ({a},{b})")
-            for c in range(size):
-                if table[row[b] * size + c] != row[table[b * size + c]]:
+    up = FinAlgebra(size, (), table).order[1]
+    if not (
+        table[::size + 1] == tuple(range(size))
+        and rows == [table[a::size] for a in range(size)]
+        and all(list(map(up.__getitem__, r)) == [u & v for v in up] for r, u in zip(rows, up))
+    ):
+        # across[b] takes row a to a v (b v c) for each c.  Tables of size
+        # < 2 pass the test above, so every getter returns a tuple.
+        across = [itemgetter(*r) for r in rows]
+        for a, row in enumerate(rows):
+            if row[a] != a:
+                raise ValueError(f"join not idempotent at {a}")
+            for b in range(size):
+                if row[b] != rows[b][a]:
+                    raise ValueError(f"join not commutative at ({a},{b})")
+                left, right = rows[row[b]], across[b](row)
+                if left != right:
+                    c = list(map(ne, left, right)).index(True)
                     raise ValueError(f"join not associative at ({a},{b},{c})")
     return table
 
@@ -599,14 +601,22 @@ def conc(L: FinAlgebra) -> ConcResult:
 
 def is_distributive(S: FinAlgebra) -> bool:
     """Whether S has the splitting property: every c ≤ a v b is some x v y
-    with x ≤ a and y ≤ b.  The below-sets are the masks of ``S.order``."""
-    n, join, down = S.size, S.join, S.order[0]
-    below = [[x for x in range(n) if d >> x & 1] for d in down]
-    for a, b in itertools.combinations_with_replacement(range(n), 2):  # symmetric in a, b
-        joins = {join[x * n + y] for x in below[a] for y in below[b]}
-        if not joins.issuperset(below[join[a * n + b]]):
-            return False
-    return True
+    with x ≤ a and y ≤ b.  A finite S has it exactly when it has a zero and
+    every join-irreducible j is join-prime (j ≤ a v b forces j ≤ a or
+    j ≤ b).  Without a zero, two minimal m1, m2 leave m1 ≤ m1 v m2 no split.
+    J masks the j whose strict down-set is some down[x]; join-primeness
+    reads down[a v b] & J == (down[a] | down[b]) & J.
+    """
+    if S.zero is None:
+        return False
+    n, down = S.size, S.order[0]
+    downsets = set(down)
+    J = sum(1 << j for j, d in enumerate(down) if d ^ 1 << j in downsets)
+    dj = [d & J for d in down]
+    return all(
+        list(map(dj.__getitem__, S.join[a * n:a * n + n])) == [da | db for db in dj]
+        for a, da in enumerate(dj)
+    )
 
 
 @dataclass(frozen=True)
@@ -646,19 +656,16 @@ def all_sem_homs(dom: FinAlgebra, cod: FinAlgebra) -> list:
 
 
 def weakly_distributive_at(mu: SemHom, x: int) -> bool:
+    """Whether each f(x) ≤ y0 v y1 has x ≤ x0 v x1 with f(xi) ≤ yi.  As f
+    keeps joins and 0, the s with f(s) ≤ y have a largest, m(y), their join:
+    such x0, x1 exist exactly when x ≤ m(y0) v m(y1)."""
     S, T, f = mu.dom, mu.cod, mu.image
-    under = [[s for s in range(S.size) if T.leq(f[s], y)] for y in range(T.size)]
-    for y0 in range(T.size):
-        for y1 in range(T.size):
-            if not T.leq(f[x], T.join_of(y0, y1)):
-                continue
-            if not any(
-                S.leq(x, S.join_of(x0, x1))
-                for x0 in under[y0]
-                for x1 in under[y1]
-            ):
-                return False
-    return True
+    m = [S.join_all(s for s in range(S.size) if T.leq(f[s], y)) for y in range(T.size)]
+    return all(
+        S.leq(x, S.join_of(m[y0], m[y1]))
+        for y0, y1 in itertools.product(range(T.size), repeat=2)
+        if T.leq(f[x], T.join_of(y0, y1))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -678,13 +685,9 @@ def quotient(L: FinAlgebra, c: Congruence):
         raise freedist.DomainError("partition not compatible with basic operations")
     if not is_compatible(L, c, table=L.join):
         raise freedist.DomainError("partition not compatible with designated join")
-    blocks = c.blocks()
-    nb = len(blocks)
-    proj = [None] * L.size
-    for bi, blk in enumerate(blocks):
-        for x in blk:
-            proj[x] = bi
-    rep = [blk[0] for blk in blocks]
+    proj = c.block_of  # canonical: block i is the i-th block by least member
+    rep = [blk[0] for blk in c.blocks()]
+    nb = len(rep)
 
     def induce(table, arity):
         if arity == 1:
@@ -700,7 +703,7 @@ def quotient(L: FinAlgebra, c: Congruence):
     )
     join = induce(L.join, 2)
     top = proj[L.top] if L.top is not None else None
-    return FinAlgebra(nb, ops, join, top), tuple(proj)
+    return FinAlgebra(nb, ops, join, top), proj
 
 
 def _relation_masks(c: Congruence) -> tuple:
@@ -711,15 +714,7 @@ def _relation_masks(c: Congruence) -> tuple:
 
 
 def _compose_masks(r, s, size):
-    out = []
-    for x in range(size):
-        acc = 0
-        reach = r[x]
-        for y in range(size):
-            if reach >> y & 1:
-                acc |= s[y]
-        out.append(acc)
-    return tuple(out)
+    return tuple(reduce(or_, (s[y] for y in range(size) if reach >> y & 1), 0) for reach in r)
 
 
 def permutability(L: FinAlgebra, m: int) -> bool:
@@ -977,14 +972,8 @@ def parse_semhom(text: str, dom: FinAlgebra) -> SemHom:
 
 def format_algebra(L: FinAlgebra) -> str:
     lines = [f"alg {L.size}"]
-    for op in L.ops:
-        lines.append(
-            f"op {op.name} {op.arity} " + " ".join(str(t) for t in op.table)
-        )
-    if L.join_name is not None:
-        lines.append(f"join {L.join_name}")
-    else:
-        lines.append("join " + " ".join(str(t) for t in L.join))
+    lines += [f"op {op.name} {op.arity} " + " ".join(map(str, op.table)) for op in L.ops]
+    lines.append("join " + (L.join_name or " ".join(map(str, L.join))))
     if L.top is not None:
         lines.append(f"top {L.top}")
     return "\n".join(lines) + "\n"

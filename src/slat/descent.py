@@ -13,6 +13,7 @@ evaluate the chain data directly and report failures as data, not errors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -202,25 +203,31 @@ class PReport:
         return not self.failures
 
 
+P_INSTANCE_LIMIT = 10**6
+
+
 def check_p(D: DescentInstance, k: int, l: int) -> PReport:
     """Evaluate the quantified statement P(k, l) over the designated U.
 
     Failures are reported with their witnessing (r, X, Y); on arbitrary
-    instances they are informative, not errors.
+    instances they are informative, not errors.  Over P_INSTANCE_LIMIT
+    instances (r, X, Y), counted first, is a ValueError.
     """
     if not 0 <= k <= D.n - 1:
         raise ValueError("k must be between 0 and n-1")
     if not 0 <= l <= 2**k:
         raise ValueError("l must be between 0 and 2^k")
-    rep = PReport(k, l)
     U = sorted(D.u_set)
     size_x = 2**k - l
     size_y = 2 * l
+    count = D.m * math.comb(len(U), size_x + size_y) * math.comb(size_x + size_y, size_x)
+    if count > P_INSTANCE_LIMIT:
+        raise ValueError(f"P({k},{l}) has {count} instances, more than {P_INSTANCE_LIMIT}")
+    rep = PReport(k, l, count)
     for X in itertools.combinations(U, size_x):
         rest = [u for u in U if u not in X]
         for Y in itertools.combinations(rest, size_y):
             for r in range(D.m):
-                rep.instances += 1
                 if not check_er(D, r, k, X, Y):
                     rep.failures.append((r, tuple(X), tuple(Y)))
     return rep

@@ -470,6 +470,21 @@ def test_descent_bad_args_exit_2(capsys, fixture_file):
     assert code == 2
 
 
+def test_descent_p_refuses_too_many_instances(capsys, tmp_path):
+    # 30 names with chain indices 0..5, so n = 5: P(4, 2) ranges over
+    # C(30, 14) * C(16, 4) choices of (X, Y) for its one r, about 2.6e11.
+    names = [f"u{i}" for i in range(30)]
+    head = descent.FIXTURE.split("z 0 0")[0]
+    zs = [f"z 0 {i} {u} {min(i, 3)}" for u in names for i in range(6)]
+    path = tmp_path / "wide.dsc"
+    path.write_text(head + "\n".join(zs) + "\nmu 0 0 0\n")
+    code, out, err = run(capsys, "descent", str(path), "p", "4", "2")
+    assert code == 2 and out == ""
+    assert err == "error: P(4,2) has 264669268500 instances, more than 1000000\n"
+    code, out, _ = run(capsys, "descent", str(path), "p", "0", "1")
+    assert code == 0 and out == "P(0,1) true instances=435\n"
+
+
 def test_suite_deterministic_across_processes():
     cmd = [
         sys.executable, "-m", "slat.cli", "suite",

@@ -323,6 +323,15 @@ def is_distributive_oracle(S):
     return True
 
 
+def without_bottom(L):
+    """L's join table with its least element deleted and the rest relabelled
+    0..n-2 in order: a join-semilattice, with a zero only when L's bottom
+    has one cover."""
+    keep = [e for e in range(L.size) if e != L.zero]
+    label = {e: i for i, e in enumerate(keep)}
+    return fin_algebra(len(keep), [], [label[L.join_of(a, b)] for a in keep for b in keep])
+
+
 def test_is_distributive_matches_the_witness_search():
     algebras = corpus_and_products() + join_only_algebras()
     tables = [conc(L).table for _, L in algebras]
@@ -331,6 +340,12 @@ def test_is_distributive_matches_the_witness_search():
     verdicts = [is_distributive(S) for S in tables]
     assert verdicts == [is_distributive_oracle(S) for S in tables]
     assert verdicts.count(False) == 15 + 2
+    # Join-semilattices with a zero and without one (11 of the corpus, then
+    # the V of two atoms under a top).
+    zeroless = [without_bottom(L) for _, L in corpus.bundled_corpus() if L.size > 1]
+    zeroless.append(fin_algebra(3, [], [0, 2, 2, 2, 1, 2, 2, 2, 2]))
+    assert [S.zero is None for S in zeroless].count(True) == 11 + 1
+    assert [is_distributive(S) for S in zeroless] == [is_distributive_oracle(S) for S in zeroless]
 
 
 def test_semilattice_validation():
@@ -452,11 +467,19 @@ def test_weak_distributivity_oracle_agreement():
     two = semilattice(2, [0, 1, 1, 1], 0)
     sq = corpus.product(corpus.chain(2), corpus.chain(2))
     sq_s = semilattice(4, sq.join, 0)
-    for dom in (two, sq_s):
-        for cod in (two, sq_s, m3_semilattice()):
-            for mu in conlat.all_sem_homs(dom, cod):
-                for x in range(dom.size):
-                    assert weakly_distributive_at(mu, x) == wd_at_oracle(mu, x)
+    m3 = m3_semilattice()
+    n5 = corpus.n5()
+    n5_s = semilattice(n5.size, n5.join, n5.zero)
+    pairs = [(dom, cod) for dom in (two, sq_s) for cod in (two, sq_s, m3)]
+    # The two non-distributive lattices as domains.
+    pairs += [(dom, cod) for dom in (m3, n5_s) for cod in (two, sq_s, m3, n5_s)]
+    points = 0
+    for dom, cod in pairs:
+        for mu in conlat.all_sem_homs(dom, cod):
+            for x in range(dom.size):
+                assert weakly_distributive_at(mu, x) == wd_at_oracle(mu, x)
+                points += 1
+    assert points == 202 + 1175
 
 
 # -- quotients ----------------------------------------------------------------
