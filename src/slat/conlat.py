@@ -80,24 +80,32 @@ def identity_congruence(size: int) -> Congruence:
     return Congruence(tuple(range(size)))
 
 
+def _merge(n: int, pending: list, images) -> Congruence:
+    """The finest partition of 0..n-1 relating the pending pairs and, with
+    each pair (a, b) it relates, the distinct pairs in zip(images[a], images[b])."""
+    block = list(range(n))
+    members = [[a] for a in range(n)]
+    while pending:
+        a, b = pending.pop()
+        ra, rb = block[a], block[b]
+        if ra == rb:
+            continue
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+        for c in members[rb]:
+            block[c] = ra
+        members[ra] += members[rb]
+        ia, ib = images[a], images[b]
+        pending += itertools.compress(zip(ia, ib), map(ne, ia, ib))
+    return congruence_from_blockof(block)
+
+
 @lru_cache(maxsize=None)
 def part_join(c1: Congruence, c2: Congruence) -> Congruence:
-    parent = list(range(c1.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in (c1, c2):
-        reps = {}
-        for x, b in enumerate(c.block_of):
-            if b in reps:
-                parent[find(x)] = find(reps[b])
-            else:
-                reps[b] = x
-    return congruence_from_blockof(find(x) for x in range(c1.size))
+    """The finest partition that c1 and c2 refine: each element tied to the
+    least member of its block in each, merged with no images."""
+    ties = [(blk[0], x) for c in (c1, c2) for blk in c.blocks() for x in blk[1:]]
+    return _merge(c1.size, ties, ((),) * c1.size)
 
 
 @lru_cache(maxsize=None)
@@ -252,9 +260,9 @@ def bound_table(masks) -> tuple:
     return tuple(where.get(ma & mb) for ma in masks for mb in masks)
 
 
-def _check_semilattice_table(size: int, table) -> tuple:
-    """The join table as a tuple, if it is idempotent, commutative and
-    associative; else a ValueError naming the first failing cell.
+def _check_semilattice_table(A: FinAlgebra) -> FinAlgebra:
+    """A, with its ``order`` cached, if its join table (a tuple) is idempotent,
+    commutative and associative; else a ValueError naming the first failing cell.
 
     With a ≤ b when a v b = b, an idempotent, commutative table is
     associative exactly when up[a v b] == up[a] & up[b] for all a, b: then
@@ -263,13 +271,13 @@ def _check_semilattice_table(size: int, table) -> tuple:
     idempotence at a, then for each b commutativity at (a, b) and, as one
     tuple over c, associativity at (a, b, c).
     """
-    table = tuple(table)
+    size, table = A.size, A.join
     if len(table) != size * size:
         raise ValueError(f"join table needs {size * size} entries")
     if table and (min(table) < 0 or max(table) >= size):
         raise ValueError("join table entry out of range")
     rows = [table[a * size:a * size + size] for a in range(size)]
-    up = FinAlgebra(size, (), table).order[1]
+    up = A.order[1]
     if not (
         table[::size + 1] == tuple(range(size))
         and rows == [table[a::size] for a in range(size)]
@@ -288,7 +296,7 @@ def _check_semilattice_table(size: int, table) -> tuple:
                 if left != right:
                     c = list(map(ne, left, right)).index(True)
                     raise ValueError(f"join not associative at ({a},{b},{c})")
-    return table
+    return A
 
 
 def fin_algebra(size, ops, join, top=None) -> FinAlgebra:
@@ -302,10 +310,10 @@ def fin_algebra(size, ops, join, top=None) -> FinAlgebra:
             raise ValueError(f"operation {op.name}: wrong table size")
         if min(op.table) < 0 or max(op.table) >= size:
             raise ValueError(f"operation {op.name}: entry out of range")
-    join = _check_semilattice_table(size, join)
+    A = _check_semilattice_table(FinAlgebra(size, ops, tuple(join), top))
     if top is not None and not (0 <= top < size):
         raise ValueError("top out of range")
-    return FinAlgebra(size, ops, join, top)
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -340,34 +348,18 @@ def is_compatible(L: FinAlgebra, c: Congruence, table=None) -> bool:
 def theta(L: FinAlgebra, x: int, y: int) -> Congruence:
     """Least congruence of the basic operations identifying x and y.
 
-    Worklist closure: whenever a pending pair (a, b) merges two classes,
-    every pair of distinct images (f(a), f(b)) under a basic translation
-    f (see ``FinAlgebra.translations``) is pushed.  Every pushed pair lies
-    in each congruence containing (x, y), and every merged pair has its
-    translations inside the result, so the result is compatible.
+    Worklist closure (``_merge``, which ``part_join`` runs with no images):
+    when a pending pair (a, b) merges two classes, the pairs of distinct
+    images (f(a), f(b)) under the basic translations f (``translations``)
+    are pushed.  Each pushed pair lies in every congruence holding (x, y),
+    and each merged pair's images lie in the result, so it is compatible.
     """
     n = L.size
     if not (0 <= x < n and 0 <= y < n):
         raise ValueError(f"elements must lie in 0..{n - 1}")
     if x > y:
         return theta(L, y, x)
-    images = L.translations
-    block = list(range(n))
-    members = [[a] for a in range(n)]
-    pending = [(x, y)]
-    while pending:
-        a, b = pending.pop()
-        ra, rb = block[a], block[b]
-        if ra == rb:
-            continue
-        if len(members[ra]) < len(members[rb]):
-            ra, rb = rb, ra
-        for c in members[rb]:
-            block[c] = ra
-        members[ra] += members[rb]
-        ia, ib = images[a], images[b]
-        pending += itertools.compress(zip(ia, ib), map(ne, ia, ib))
-    return congruence_from_blockof(block)
+    return _merge(n, [(x, y)], L.translations)
 
 
 def join_closure(gens, join) -> frozenset:
@@ -566,10 +558,10 @@ def check_congruence_compatible(L: FinAlgebra) -> bool:
 
 def semilattice(size, join, zero) -> FinAlgebra:
     """The algebra whose one basic operation is the join table; zero must be least."""
-    join = _check_semilattice_table(size, join)
+    join = tuple(join)
+    S = _check_semilattice_table(FinAlgebra(size, (Operation("join", 2, join),), join))
     if not (0 <= zero < size):
         raise ValueError("zero out of range")
-    S = FinAlgebra(size, (Operation("join", 2, join),), join)
     if S.zero != zero:  # a neutral zero is exactly the least element
         raise ValueError("zero not neutral")
     return S
@@ -626,6 +618,14 @@ class SemHom:
     image: tuple
 
 
+def _unpreserved(dom: FinAlgebra, cod: FinAlgebra, f) -> tuple | None:
+    """The first (a, b), a ≤ b, with f(a v b) ≠ f(a) v f(b), or None: as joins
+    commute, also the first such pair of all pairs in row-major order."""
+    n, k, dj, cj = dom.size, cod.size, dom.join, cod.join
+    bad = ((a, b) for a in range(n) for b in range(a, n) if f[dj[a * n + b]] != cj[f[a] * k + f[b]])
+    return next(bad, None)
+
+
 def sem_hom(dom, cod, image) -> SemHom:
     image = tuple(image)
     if len(image) != dom.size:
@@ -634,25 +634,15 @@ def sem_hom(dom, cod, image) -> SemHom:
         raise ValueError("image entry out of range")
     if image[dom.zero] != cod.zero:
         raise ValueError("zero not preserved")
-    for a in range(dom.size):
-        for b in range(dom.size):
-            if image[dom.join_of(a, b)] != cod.join_of(image[a], image[b]):
-                raise ValueError(f"join not preserved at ({a},{b})")
+    if (bad := _unpreserved(dom, cod, image)) is not None:
+        raise ValueError("join not preserved at (%d,%d)" % bad)
     return SemHom(dom, cod, image)
 
 
 def all_sem_homs(dom: FinAlgebra, cod: FinAlgebra) -> list:
-    out = []
-    for image in itertools.product(range(cod.size), repeat=dom.size):
-        if image[dom.zero] != cod.zero:
-            continue
-        if all(
-            image[dom.join_of(a, b)] == cod.join_of(image[a], image[b])
-            for a in range(dom.size)
-            for b in range(a, dom.size)
-        ):
-            out.append(SemHom(dom, cod, image))
-    return out
+    images = itertools.product(range(cod.size), repeat=dom.size)
+    keep = (f for f in images if f[dom.zero] == cod.zero and _unpreserved(dom, cod, f) is None)
+    return [SemHom(dom, cod, f) for f in keep]
 
 
 def weakly_distributive_at(mu: SemHom, x: int) -> bool:
@@ -707,10 +697,8 @@ def quotient(L: FinAlgebra, c: Congruence):
 
 
 def _relation_masks(c: Congruence) -> tuple:
-    masks = {}
-    for x, b in enumerate(c.block_of):
-        masks[b] = masks.get(b, 0) | (1 << x)
-    return tuple(masks[c.block_of[x]] for x in range(c.size))
+    masks = [sum(1 << x for x in blk) for blk in c.blocks()]
+    return tuple(masks[b] for b in c.block_of)
 
 
 def _compose_masks(r, s, size):

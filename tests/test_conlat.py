@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -12,6 +13,7 @@ from slat.conlat import (
     FinAlgebra,
     FormatError,
     JoinTable,
+    SemHom,
     all_congruences,
     all_partitions,
     check_congruence_compatible,
@@ -79,6 +81,18 @@ def test_refines_reads_the_block_arrays():
     for L in algebras:
         all_congruences.__wrapped__(L)  # past the memo, which earlier tests filled
     assert part_join.cache_info().currsize == 650
+
+
+def test_part_join_is_the_finest_partition_both_refine():
+    pairs = 0
+    for n in range(6):
+        parts = list(all_partitions(n))
+        for a, b in itertools.product(parts, repeat=2):
+            ups = [p for p in parts if refines(a, p) and refines(b, p)]
+            finest = [p for p in ups if all(refines(p, q) for q in ups)]
+            assert [part_join(a, b)] == finest
+            pairs += 1
+    assert pairs == 1 + 1 + 2**2 + 5**2 + 15**2 + 52**2
 
 
 def test_all_partitions_count():
@@ -407,12 +421,14 @@ def test_row_wise_table_check_matches_the_cell_by_cell_loop():
         corpus.product(named["chain2"], named["m3"]),
     ]
     join_of_algebra = lambda n, table: fin_algebra(n, [], table).join
+    # The check takes the algebra whose join table it reads, and returns it.
+    check = lambda n, table: conlat._check_semilattice_table(FinAlgebra(n, (), tuple(table))).join
     rng = random.Random("conlat:row-wise-check")
     checked, kinds = 0, set()
     for L in lattices:
         for table in corrupted_tables(L, rng, 130):
             expected = outcome(semilattice_check_oracle, L.size, table)
-            assert outcome(conlat._check_semilattice_table, L.size, table) == expected
+            assert outcome(check, L.size, table) == expected
             assert outcome(join_of_algebra, L.size, table) == expected
             checked += 1
             kinds.add("ok" if expected[0] == "ok" else expected[1].split(" at ")[0])
@@ -424,8 +440,23 @@ def test_row_wise_table_check_matches_the_cell_by_cell_loop():
     # Sizes 0 to 2, where itemgetter of one index would give no tuple.
     for size, table in ((0, []), (1, [0]), (1, [1]), (1, [-1]), (2, [0, 1, 1, 1]), (2, [1, 1, 1, 1])):
         expected = outcome(semilattice_check_oracle, size, table)
-        assert outcome(conlat._check_semilattice_table, size, table) == expected
+        assert outcome(check, size, table) == expected
     assert outcome(semilattice, 0, [], 0) == ("error", "zero out of range")
+
+
+def test_checked_constructors_return_the_checked_algebra():
+    """fin_algebra and semilattice check the join table on the algebra they
+    return, so its order masks are built once and already cached."""
+    ch = corpus.chain(4)
+    built = [
+        fin_algebra(4, [("join", 2, ch.join)], ch.join, top=3),
+        fin_algebra(4, [], list(ch.join)),
+        semilattice(4, list(ch.join), 0),
+        m3_semilattice(),
+    ]
+    for A in built:
+        assert "order" in vars(A)
+        assert A.order == FinAlgebra(A.size, A.ops, A.join, A.top).order
 
 
 def test_operation_table_errors():
@@ -461,9 +492,8 @@ def test_weak_distributivity():
     assert not weakly_distributive_at(mu, 1)
 
 
-def test_weak_distributivity_oracle_agreement():
-    from slat.suite import wd_at_oracle
-
+def semilattice_pairs():
+    """Domain/codomain pairs over the 2-chain, the square, M3 and N5."""
     two = semilattice(2, [0, 1, 1, 1], 0)
     sq = corpus.product(corpus.chain(2), corpus.chain(2))
     sq_s = semilattice(4, sq.join, 0)
@@ -473,8 +503,37 @@ def test_weak_distributivity_oracle_agreement():
     pairs = [(dom, cod) for dom in (two, sq_s) for cod in (two, sq_s, m3)]
     # The two non-distributive lattices as domains.
     pairs += [(dom, cod) for dom in (m3, n5_s) for cod in (two, sq_s, m3, n5_s)]
+    return pairs
+
+
+def test_sem_hom_and_all_sem_homs_agree_with_the_all_pairs_loop():
+    def row_major_error(dom, cod, image):
+        """sem_hom's check as it was: the first failing (a, b) of all pairs."""
+        if image[dom.zero] != cod.zero:
+            return "zero not preserved"
+        for a in range(dom.size):
+            for b in range(dom.size):
+                if image[dom.join_of(a, b)] != cod.join_of(image[a], image[b]):
+                    return f"join not preserved at ({a},{b})"
+        return None
+
+    seen = collections.Counter()
+    for dom, cod in semilattice_pairs():
+        listed = {mu.image for mu in conlat.all_sem_homs(dom, cod)}
+        for image in itertools.product(range(cod.size), repeat=dom.size):
+            error = row_major_error(dom, cod, image)
+            expected = ("error", error) if error else ("ok", SemHom(dom, cod, image))
+            assert outcome(sem_hom, dom, cod, image) == expected
+            assert (image in listed) == (error is None)
+            seen[error.split(" at ")[0] if error else "ok"] += 1
+    assert seen == {"ok": 291, "zero not preserved": 12302, "join not preserved": 2961}
+
+
+def test_weak_distributivity_oracle_agreement():
+    from slat.suite import wd_at_oracle
+
     points = 0
-    for dom, cod in pairs:
+    for dom, cod in semilattice_pairs():
         for mu in conlat.all_sem_homs(dom, cod):
             for x in range(dom.size):
                 assert weakly_distributive_at(mu, x) == wd_at_oracle(mu, x)
