@@ -632,6 +632,8 @@ def sem_hom(dom, cod, image) -> SemHom:
         raise ValueError("image array has wrong length")
     if any(not (0 <= v < cod.size) for v in image):
         raise ValueError("image entry out of range")
+    if None in (dom.zero, cod.zero):
+        raise ValueError(f"{'domain' if dom.zero is None else 'codomain'} has no zero")
     if image[dom.zero] != cod.zero:
         raise ValueError("zero not preserved")
     if (bad := _unpreserved(dom, cod, image)) is not None:
@@ -640,6 +642,8 @@ def sem_hom(dom, cod, image) -> SemHom:
 
 
 def all_sem_homs(dom: FinAlgebra, cod: FinAlgebra) -> list:
+    if None in (dom.zero, cod.zero):
+        raise ValueError(f"{'domain' if dom.zero is None else 'codomain'} has no zero")
     images = itertools.product(range(cod.size), repeat=dom.size)
     keep = (f for f in images if f[dom.zero] == cod.zero and _unpreserved(dom, cod, f) is None)
     return [SemHom(dom, cod, f) for f in keep]
@@ -812,22 +816,25 @@ class Directive(NamedTuple):
     """How read_directives treats one directive name."""
 
     count: int | None  # tokens after the name; None for any number
-    handler: Callable  # called with those tokens as a list
+    parse: Callable  # one line's tokens, as a list, to its value
     once: bool = False  # a second line with this name is an error
+    label: Callable | None = None  # keyed: parse gives (key, value); label(key) names it
 
 
-def read_directives(text: str, directives: dict) -> None:
-    """Feed every directive line of text to its handler.
+def read_directives(text: str, directives: dict) -> dict:
+    """Parse every directive line of text; return what was read.
 
     The rules every slat file format shares: ``#`` starts a comment,
     blank lines are skipped, and a line's first token names its
-    directive, matched as a whole token.  ``directives`` maps each name
-    to a ``Directive``: a line must carry exactly ``count`` more tokens,
-    a single-valued (``once``) directive may appear on one line only, and
-    the handler gets the tokens as a list.  A ValueError or IndexError
-    raised while reading a line becomes a FormatError that names the
-    line's number in text.
+    directive, matched as a whole token.  A line must carry exactly its
+    directive's ``count`` more tokens, which go to ``parse`` as a list.
+    Each name maps to a ``once`` directive's value (None if absent; a
+    second line is an error), a keyed directive's dict (a repeated key
+    is an error), or else the list of its values in file order.  A
+    ValueError or IndexError raised while reading a line becomes a
+    FormatError that names the line's number in text.
     """
+    found = {name: None if d.once else {} if d.label else [] for name, d in directives.items()}
     first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tok = raw.split("#", 1)[0].split()
@@ -837,7 +844,7 @@ def read_directives(text: str, directives: dict) -> None:
             name = tok[0]
             if name not in directives:
                 raise ValueError(f"unknown directive {name!r}")
-            count, handler, once = directives[name]
+            count, parse, once, label = directives[name]
             if count is not None and len(tok) - 1 != count:
                 raise ValueError(
                     f"{name} takes {count} argument{'s' * (count != 1)}, "
@@ -848,108 +855,92 @@ def read_directives(text: str, directives: dict) -> None:
                     f"{name} defined twice, first on line {first_line[name]}"
                 )
             first_line.setdefault(name, lineno)
-            handler(tok[1:])
+            value = parse(tok[1:])
+            if once:
+                found[name] = value
+            elif label:
+                key, value = value
+                if key in found[name]:
+                    raise ValueError(f"{label(key)} defined twice")
+                found[name][key] = value
+            else:
+                found[name].append(value)
         except (ValueError, IndexError) as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
+    return found
 
 
-class AlgebraReader:
-    """The ``alg <k>``, ``op <name> <arity> <row-major table>``,
-    ``join <name-or-table>`` and ``top <idx>`` directives of one algebra.
+def distinct_names(args) -> tuple:
+    """The names of a line that lists each name once, sorted."""
+    names = tuple(sorted(args))
+    if twice := [a for a, b in zip(names, names[1:]) if a == b]:
+        raise ValueError(f"name {twice[0]!r} listed twice")
+    return names
 
-    Formats that embed an algebra merge ``directives`` into their own
-    before calling read_directives, then call ``algebra()``.
-    """
 
-    def __init__(self):
-        self.size = self.join_spec = self.top = None
-        self.ops = {}
-        self.directives = {
-            "alg": Directive(1, self._alg, once=True),
-            "op": Directive(None, self._op),
-            "join": Directive(None, self._join, once=True),
-            "top": Directive(1, self._top, once=True),
-        }
+def _ints(args):
+    return [int(t) for t in args]
 
-    def _alg(self, args):
-        self.size = int(args[0])
 
-    def _op(self, args):
-        name, arity = args[0], int(args[1])
-        if name in self.ops:
-            raise ValueError(f"operation {name!r} defined twice")
-        self.ops[name] = (name, arity, [int(t) for t in args[2:]])
+# The ``alg <k>``, ``op <name> <arity> <row-major table>``, ``join
+# <name-or-table>`` and ``top <idx>`` directives of one algebra.  A format
+# that embeds an algebra merges this table into its own and passes what
+# read_directives returns to read_algebra.
+ALGEBRA_DIRECTIVES = {
+    "alg": Directive(1, lambda a: int(a[0]), once=True),
+    "op": Directive(
+        None, lambda a: (a[0], (a[0], int(a[1]), _ints(a[2:]))), label="operation {!r}".format
+    ),
+    "join": Directive(None, list, once=True),
+    "top": Directive(1, lambda a: int(a[0]), once=True),
+}
 
-    def _join(self, args):
-        self.join_spec = args
 
-    def _top(self, args):
-        self.top = int(args[0])
-
-    def algebra(self) -> FinAlgebra:
-        if self.size is None:
-            raise FormatError("missing 'alg <k>' header")
-        if self.join_spec is None:
-            raise FormatError("missing 'join' line")
-        spec = self.join_spec
-        if len(spec) == 1 and not spec[0].lstrip("-").isdigit():
-            if spec[0] not in self.ops:
-                raise FormatError(f"join refers to unknown operation {spec[0]!r}")
-            _, arity, join_table = self.ops[spec[0]]
-            if arity != 2:
-                raise FormatError("designated join must be binary")
-        else:
-            try:
-                join_table = [int(t) for t in spec]
-            except ValueError as exc:
-                raise FormatError(f"bad join table: {exc}") from exc
+def read_algebra(found: dict) -> FinAlgebra:
+    """The algebra that the ALGEBRA_DIRECTIVES lines of ``found`` give."""
+    size, ops, spec, top = (found[name] for name in ALGEBRA_DIRECTIVES)
+    if size is None:
+        raise FormatError("missing 'alg <k>' header")
+    if spec is None:
+        raise FormatError("missing 'join' line")
+    if len(spec) == 1 and not spec[0].lstrip("-").isdigit():
+        if spec[0] not in ops:
+            raise FormatError(f"join refers to unknown operation {spec[0]!r}")
+        _, arity, join_table = ops[spec[0]]
+        if arity != 2:
+            raise FormatError("designated join must be binary")
+    else:
         try:
-            return fin_algebra(self.size, self.ops.values(), join_table, self.top)
+            join_table = _ints(spec)
         except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+            raise FormatError(f"bad join table: {exc}") from exc
+    try:
+        return fin_algebra(size, ops.values(), join_table, top)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def parse_algebra(text: str) -> FinAlgebra:
-    """Parse the line-oriented algebra format (see AlgebraReader)."""
-    reader = AlgebraReader()
-    read_directives(text, reader.directives)
-    return reader.algebra()
+    """Parse the line-oriented algebra format (see ALGEBRA_DIRECTIVES)."""
+    return read_algebra(read_directives(text, ALGEBRA_DIRECTIVES))
 
 
 def parse_semhom(text: str, dom: FinAlgebra) -> SemHom:
     """Parse a map from dom into a semilattice given by ``sem <k>``,
     ``join <table>`` and ``zero <idx>``, with one ``map <x> <image>`` line
     for each element x of dom."""
-    header = {}
-    image = {}
-
-    def sem(args):
-        header["size"] = int(args[0])
-
-    def join(args):
-        header["join"] = [int(t) for t in args]
-
-    def zero(args):
-        header["zero"] = int(args[0])
-
-    def map_line(args):
-        x = int(args[0])
-        if x in image:
-            raise ValueError(f"map {x} defined twice")
-        image[x] = int(args[1])
-
-    read_directives(
+    size, join, zero, image = read_directives(
         text,
         {
-            "sem": Directive(1, sem, once=True),
-            "join": Directive(None, join, once=True),
-            "zero": Directive(1, zero, once=True),
-            "map": Directive(2, map_line),
+            "sem": Directive(1, lambda a: int(a[0]), once=True),
+            "join": Directive(None, _ints, once=True),
+            "zero": Directive(1, lambda a: int(a[0]), once=True),
+            "map": Directive(2, _ints, label="map {}".format),
         },
-    )
-    if len(header) != 3:
+    ).values()
+    if None in (size, join, zero):
         raise FormatError("map file needs sem/join/zero lines")
-    cod = semilattice(header["size"], header["join"], header["zero"])
+    cod = semilattice(size, join, zero)
     if sorted(image) != list(range(dom.size)):
         raise FormatError(f"map lines must cover domain indices 0..{dom.size - 1}")
     try:

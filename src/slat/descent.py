@@ -240,45 +240,27 @@ def check_p(D: DescentInstance, k: int, l: int) -> PReport:
 def parse_instance(text: str) -> DescentInstance:
     """Algebra directives plus ``t <r> <elem>``, ``z <r> <i> <name> <elem>``,
     ``mu <x> <y> <expression>`` and optional ``U <names>`` lines."""
-    algebra = conlat.AlgebraReader()
-    t_entries = {}
-    z = {}
-    mu_lines = []
-    u_names = None
-
-    def t_line(args):
-        r = int(args[0])
-        if r in t_entries:
-            raise ValueError(f"t {r} defined twice")
-        t_entries[r] = int(args[1])
-
-    def z_line(args):
-        key = (int(args[0]), int(args[1]), expr.parse_name(args[2]))
-        if key in z:
-            raise ValueError("z %d %d %s defined twice" % key)
-        z[key] = int(args[3])
-
-    def mu_line(args):
-        x, y = int(args[0]), int(args[1])
-        mu_lines.append((x, y, expr.parse_eval(" ".join(args[2:]))))
-
-    def u_line(args):
-        nonlocal u_names
-        u_names = tuple(sorted(args))
-
-    conlat.read_directives(
+    z_label = "z %d %d %s".__mod__
+    found = conlat.read_directives(
         text,
         {
-            **algebra.directives,
-            "t": conlat.Directive(2, t_line),
-            "z": conlat.Directive(4, z_line),
-            "mu": conlat.Directive(None, mu_line),
-            "U": conlat.Directive(None, u_line, once=True),
+            **conlat.ALGEBRA_DIRECTIVES,
+            "t": conlat.Directive(2, lambda a: (int(a[0]), int(a[1])), label="t {}".format),
+            "z": conlat.Directive(
+                4,
+                lambda a: ((int(a[0]), int(a[1]), expr.parse_name(a[2])), int(a[3])),
+                label=z_label,
+            ),
+            "mu": conlat.Directive(
+                None, lambda a: (int(a[0]), int(a[1]), expr.parse_eval(" ".join(a[2:])))
+            ),
+            "U": conlat.Directive(None, conlat.distinct_names, once=True),
         },
     )
-    L = algebra.algebra()
+    L = conlat.read_algebra(found)
+    t_entries, z, mu_lines, u_names = found["t"], found["z"], found["mu"], found["U"]
     elements = [(f"t {r}", e) for r, e in t_entries.items()]
-    elements += [("z %d %d %s" % key, e) for key, e in z.items()]
+    elements += [(z_label(key), e) for key, e in z.items()]
     elements += [(f"mu {x} {y}", e) for x, y, _ in mu_lines for e in (x, y)]
     for entry, e in elements:
         if not 0 <= e < L.size:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .conlat import Directive, FormatError, read_directives
+from .conlat import Directive, FormatError, distinct_names, read_directives
 
 
 @dataclass
@@ -51,42 +51,35 @@ def _parse_set(text: str) -> frozenset:
     body = text[1:-1].strip()
     if not body:
         return frozenset()
-    return frozenset(part.strip() for part in body.split(","))
+    members = [part.strip() for part in body.split(",")]
+    if "" in members:
+        raise ValueError(f"empty member in set {text!r}")
+    return frozenset(members)
+
+
+def _arity(args) -> int:
+    if (arity := int(args[0])) < 0:
+        raise ValueError("arity must not be negative")
+    return arity
+
+
+def _phi_line(args) -> tuple:
+    left, arrow, right = " ".join(args).partition("->")
+    if not arrow:
+        raise ValueError("phi line needs '->'")
+    return _parse_set(left), _parse_set(right)
 
 
 def parse_phi(text: str) -> PhiMap:
     """Parse ``ground``/``arity`` headers plus ``phi {..} -> {..}`` lines."""
-    ground = None
-    arity = None
-    images = {}
-
-    def ground_line(args):
-        nonlocal ground
-        ground = tuple(sorted(args))
-
-    def arity_line(args):
-        nonlocal arity
-        arity = int(args[0])
-        if arity < 0:
-            raise ValueError("arity must not be negative")
-
-    def phi_line(args):
-        left, arrow, right = " ".join(args).partition("->")
-        if not arrow:
-            raise ValueError("phi line needs '->'")
-        key = _parse_set(left)
-        if key in images:
-            raise ValueError("phi {%s} defined twice" % ",".join(sorted(key)))
-        images[key] = _parse_set(right)
-
-    read_directives(
+    ground, arity, images = read_directives(
         text,
         {
-            "ground": Directive(None, ground_line, once=True),
-            "arity": Directive(1, arity_line, once=True),
-            "phi": Directive(None, phi_line),
+            "ground": Directive(None, distinct_names, once=True),
+            "arity": Directive(1, _arity, once=True),
+            "phi": Directive(None, _phi_line, label=lambda k: "phi {%s}" % ",".join(sorted(k))),
         },
-    )
+    ).values()
     if ground is None or arity is None:
         raise FormatError("phi file needs 'ground' and 'arity' lines")
     phi = PhiMap(ground, arity, images)

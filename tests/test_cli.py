@@ -284,6 +284,17 @@ _FIXTURE_LINES = descent.FIXTURE.splitlines()
             "line 4: phi {0} defined twice",
         ),
         (
+            ("descent", "validate"),
+            descent.FIXTURE.replace("U u\n", "U u u\n"),
+            f"line {_FIXTURE_LINES.index('U u') + 1}: name 'u' listed twice",
+        ),
+        (("freeset",), "ground 0 0 1\narity 1\n", "line 1: name '0' listed twice"),
+        (
+            ("freeset",),
+            "ground 0 1\narity 1\nphi {0,} -> {1}\n",
+            "line 3: empty member in set '{0,}'",
+        ),
+        (
             # a z name no expression can spell, on every z line, and no U
             ("descent", "validate"),
             descent.FIXTURE.replace(" u ", " a(b ").replace("U u\n", ""),

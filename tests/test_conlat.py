@@ -480,6 +480,16 @@ def test_sem_hom_validation():
         sem_hom(two, m3, [1, 4])  # zero not preserved
 
 
+def test_sem_hom_and_all_sem_homs_name_a_missing_zero():
+    two = semilattice(2, [0, 1, 1, 1], 0)
+    vee = fin_algebra(3, [], [0, 2, 2, 2, 1, 2, 2, 2, 2])  # two minimal elements
+    for dom, cod, role in ((vee, two, "domain"), (two, vee, "codomain")):
+        with pytest.raises(ValueError, match=f"^{role} has no zero$"):
+            sem_hom(dom, cod, [0] * dom.size)
+        with pytest.raises(ValueError, match=f"^{role} has no zero$"):
+            conlat.all_sem_homs(dom, cod)
+
+
 def test_weak_distributivity():
     two = semilattice(2, [0, 1, 1, 1], 0)
     m3 = m3_semilattice()
@@ -836,6 +846,31 @@ def test_algebra_format_errors():
         parse_algebra("alg 2\njoin 0 1 1 1\ntop 1\ntop 1\n")
     with pytest.raises(FormatError, match="^line 3: join defined twice, first on line 1"):
         parse_algebra("join 0 1 1 1\nalg 2\njoin 0 1 1 1\n")
+
+
+def test_read_directives_returns_what_it_read():
+    table = {
+        "size": conlat.Directive(1, lambda a: int(a[0]), once=True),
+        "cell": conlat.Directive(2, lambda a: (a[0], int(a[1])), label="cell {!r}".format),
+        "note": conlat.Directive(None, " ".join),
+    }
+    found = conlat.read_directives(
+        "note b a\ncell x 1\nsize 3\ncell y 2\nnote a\n# c\nnote\n", table
+    )
+    # once: the value; keyed: a dict; any other: the values in file order
+    assert found == {"size": 3, "cell": {"x": 1, "y": 2}, "note": ["b a", "a", ""]}
+    assert conlat.read_directives("", table) == {"size": None, "cell": {}, "note": []}
+    with pytest.raises(FormatError, match="^line 3: size defined twice, first on line 1$"):
+        conlat.read_directives("size 1\ncell x 1\nsize 1\n", table)
+    with pytest.raises(FormatError, match="^line 2: cell 'x' defined twice$"):
+        conlat.read_directives("cell x 1\ncell x 2\n", table)
+
+
+def test_keyed_line_is_parsed_before_its_key_is_checked():
+    # The repeated op line is also malformed after its key: the malformed
+    # token is reported, not the repeat.
+    with pytest.raises(FormatError, match="^line 3: invalid literal for int.*'x'$"):
+        parse_algebra("alg 2\nop j 2 0 1 1 1\nop j 2 0 x\njoin j\n")
 
 
 def test_algebra_format_comments_and_blank_lines():
