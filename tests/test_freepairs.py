@@ -1,9 +1,10 @@
+import hashlib
 import random
 import re
 
 import pytest
 
-from slat import freepairs, pairs
+from slat import freedist, freepairs, pairs
 from slat.freedist import Node, Triple
 from slat.freepairs import (
     ONE,
@@ -226,6 +227,86 @@ def test_evaporation_cross_check_sample_follows_the_seed(monkeypatch):
         assert len(listed) == rep.notes["pairs"] + rep.notes["cross_checks"]
         runs.append(list(listed))
     assert runs[0] != runs[1]
+
+
+# -- rank <= 1 enumeration ----------------------------------------------------
+
+
+def _zero_projection_nodes(univ) -> list:
+    return [w for w in univ if isinstance(w, Node) and w.proj == ZERO]
+
+
+def _avoiding_triples(w, name) -> list:
+    return [t for t in w.triples if not any(name in support(c) for c in t)]
+
+
+def test_below_avoiding_lists_the_nodes_on_the_usable_triples():
+    # Below a node with zero projection the rank <= 1 elements are zero and
+    # the nodes on subsets of its triples.  univ holds every such node for
+    # the ws below, so the listing must equal a brute scan of univ that
+    # drops what mentions d; the nodes on the d triples are dropped that way.
+    over_a = freepairs.all_rank1({"a"}, 2)
+    univ = over_a + freepairs.all_rank1({"a", "d"}, 1)
+    d_triples = [w.triples[0] for w in _zero_projection_nodes(freepairs.all_rank1({"d"}, 1))]
+    ws = _zero_projection_nodes(over_a)
+    mixed = [
+        freedist.make_node(freepairs.BASE, ZERO, w.triples + (t,))
+        for w, t in zip(ws[::12], d_triples[::5])
+    ]
+    assert mixed and all(freepairs.validate(w) is w for w in mixed)
+    sizes = set()
+    for w in ws + mixed:
+        listed = freepairs._below_avoiding(w, "d")
+        brute = {z for z in univ if leq(z, w) and "d" not in support(z)}
+        assert len(set(listed)) == len(listed) and set(listed) == brute, freepairs.serialize(w)
+        sizes.add(len(listed))
+        if len(usable := _avoiding_triples(w, "d")) == 2:
+            # by subset size, the triples in their stored order
+            t1, t2 = usable
+            assert listed == [ZERO, Node(ZERO, (t1,)), Node(ZERO, (t2,)), Node(ZERO, (t1, t2))]
+    assert sizes == {2, 4}
+
+
+def test_below_avoiding_lists_zero_alone_when_the_projection_mentions_the_name():
+    # Every triple that the evaporation sweep stores mentions delta, so no
+    # triple is usable there; past that domain this early return is not
+    # complete (pair([a],[]) lies below red(pair([a,d],[]); ...)).
+    ws = [
+        w
+        for w in freepairs.all_rank1({"a", "d"}, 1)
+        if isinstance(w, Node) and "d" in support(w.proj) and _avoiding_triples(w, "d")
+    ]
+    assert len(ws) == 52
+    for w in ws:
+        assert freepairs._below_avoiding(w, "d") == [ZERO]
+
+
+def _digest(xs) -> str:
+    return hashlib.sha256("\n".join(map(freepairs.serialize, xs)).encode()).hexdigest()
+
+
+def test_rank1_lists_keep_their_elements_and_order():
+    # The sweeps' counts, the cross-check's rng draws and ext-sweep's case
+    # shuffle all follow these lists' order.
+    assert len(freepairs.all_rank1({"a", "b"}, 1)) == 2554
+    assert len(freepairs.all_rank1({"a"}, 2)) == 182
+    assert _digest(freepairs.all_rank1({"a", "b"}, 1)) == (
+        "fbcf9af0f93d71b96af15abecb5bf94cb68afde0e8eee0659411ce371d59104a"
+    )
+    assert _digest(freepairs.all_rank1({"a"}, 2)) == (
+        "d0dbafe94ed5a740401b8a8e628bd08ab212aff0d3914dfa76854b6707c96a4b"
+    )
+    sides = {
+        (pol, other, k): _digest(freepairs.evaporation_side_universe("d", other, pol, k))
+        for pol, other in ((0, "a"), (1, "b"))
+        for k in (0, 1)
+    }
+    assert sides == {
+        (0, "a", 0): "c2589b19f87196d46e9327df074c8c3f59f42cfd53b381bbfa7dafeac2cbeb4e",
+        (0, "a", 1): "cb6c6bacac339a24555b062b19bd6b66ac43988bceca2ea9a31dad69151beeec",
+        (1, "b", 0): "948e3faaadd74a7a69d262abb13b906f9c6f1c79a81579cf8a1f6325262837cc",
+        (1, "b", 1): "88dd88d440e78e22975e26b0280c04486f59f08e812172bd3e36a040576d08e9",
+    }
 
 
 # -- distributivity at the base level ----------------------------------------
