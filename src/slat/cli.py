@@ -141,7 +141,10 @@ def _generator_name(text: str) -> str:
 def _parse_name_set(text: str) -> frozenset:
     if text == "-":
         return frozenset()
-    return frozenset(part for part in text.split(",") if part)
+    names = text.split(",")
+    if "" in names:
+        raise ValueError(f"empty name in {text!r}")
+    return frozenset(conlat.distinct_names(names))
 
 
 def cmd_descent(args) -> int:

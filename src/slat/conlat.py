@@ -311,8 +311,10 @@ def fin_algebra(size, ops, join, top=None) -> FinAlgebra:
         if min(op.table) < 0 or max(op.table) >= size:
             raise ValueError(f"operation {op.name}: entry out of range")
     A = _check_semilattice_table(FinAlgebra(size, ops, tuple(join), top))
-    if top is not None and not (0 <= top < size):
+    if top is not None and not 0 <= top < size:
         raise ValueError("top out of range")
+    if top is not None and A.order[0][top] != (1 << size) - 1:
+        raise ValueError(f"top {top} is not the greatest element")
     return A
 
 
@@ -891,7 +893,11 @@ ALGEBRA_DIRECTIVES = {
     "op": Directive(
         None, lambda a: (a[0], (a[0], int(a[1]), _ints(a[2:]))), label="operation {!r}".format
     ),
-    "join": Directive(None, list, once=True),
+    "join": Directive(
+        None,
+        lambda a: a[0] if len(a) == 1 and not a[0].lstrip("-").isdigit() else _ints(a),
+        once=True,
+    ),
     "top": Directive(1, lambda a: int(a[0]), once=True),
 }
 
@@ -903,17 +909,13 @@ def read_algebra(found: dict) -> FinAlgebra:
         raise FormatError("missing 'alg <k>' header")
     if spec is None:
         raise FormatError("missing 'join' line")
-    if len(spec) == 1 and not spec[0].lstrip("-").isdigit():
-        if spec[0] not in ops:
-            raise FormatError(f"join refers to unknown operation {spec[0]!r}")
-        _, arity, join_table = ops[spec[0]]
+    join_table = spec
+    if isinstance(spec, str):
+        if spec not in ops:
+            raise FormatError(f"join refers to unknown operation {spec!r}")
+        _, arity, join_table = ops[spec]
         if arity != 2:
             raise FormatError("designated join must be binary")
-    else:
-        try:
-            join_table = _ints(spec)
-        except ValueError as exc:
-            raise FormatError(f"bad join table: {exc}") from exc
     try:
         return fin_algebra(size, ops.values(), join_table, top)
     except ValueError as exc:

@@ -54,13 +54,17 @@ def _parse_set(text: str) -> frozenset:
     members = [part.strip() for part in body.split(",")]
     if "" in members:
         raise ValueError(f"empty member in set {text!r}")
-    return frozenset(members)
+    return frozenset(distinct_names(members))
 
 
 def _arity(args) -> int:
     if (arity := int(args[0])) < 0:
         raise ValueError("arity must not be negative")
     return arity
+
+
+def _phi_label(key) -> str:
+    return "phi {%s}" % ",".join(sorted(key))
 
 
 def _phi_line(args) -> tuple:
@@ -77,7 +81,7 @@ def parse_phi(text: str) -> PhiMap:
         {
             "ground": Directive(None, distinct_names, once=True),
             "arity": Directive(1, _arity, once=True),
-            "phi": Directive(None, _phi_line, label=lambda k: "phi {%s}" % ",".join(sorted(k))),
+            "phi": Directive(None, _phi_line, label=_phi_label),
         },
     ).values()
     if ground is None or arity is None:
@@ -85,8 +89,9 @@ def parse_phi(text: str) -> PhiMap:
     phi = PhiMap(ground, arity, images)
     gset = set(ground)
     for key, val in images.items():
+        label = _phi_label(key)
         if len(key) != arity:
-            raise FormatError(f"phi argument {sorted(key)} has wrong size")
-        if not key <= gset or not val <= gset:
-            raise FormatError("phi line mentions elements outside the ground set")
+            raise FormatError(f"{label}: argument must have {arity} element{'s' * (arity != 1)}")
+        if outside := sorted((key | val) - gset):
+            raise FormatError(f"{label}: element {outside[0]} not in the ground set")
     return phi

@@ -36,7 +36,10 @@ class SuiteConfig:
             return corpus.bundled_corpus()
         entries = []
         for path in sorted(Path(self.corpus_dir).glob("*.alg")):
-            entries.append((path.stem, conlat.parse_algebra(path.read_text())))
+            try:
+                entries.append((path.stem, conlat.parse_algebra(path.read_text())))
+            except conlat.FormatError as exc:
+                raise conlat.FormatError(f"{path.name}: {exc}") from exc
         if not entries:
             raise conlat.FormatError(f"no .alg files in {self.corpus_dir}")
         return tuple(entries)

@@ -305,6 +305,48 @@ _FIXTURE_LINES = descent.FIXTURE.splitlines()
             descent.FIXTURE.replace("z 0 2 u 3", "z 0 2 x,y 3"),
             "line 9: generator name must be one identifier, got 'x,y'",
         ),
+        (
+            ("con", "conc"),
+            "alg 2\njoin 0 1 1 x\n",
+            "line 2: invalid literal for int() with base 10: 'x'",
+        ),
+        (("con", "conc"), "alg 2\nop f 1 1 0\njoin f\n", "designated join must be binary"),
+        (
+            ("freeset",),
+            "ground 0 1\narity 1\nphi {0,1} -> {1}\n",
+            "phi {0,1}: argument must have 1 element",
+        ),
+        (
+            ("freeset",),
+            "ground 0 1 2\narity 2\nphi {0} -> {1}\n",
+            "phi {0}: argument must have 2 elements",
+        ),
+        (
+            ("freeset",),
+            "ground 0 1\narity 1\nphi {0} -> {1,7}\n",
+            "phi {0}: element 7 not in the ground set",
+        ),
+        (
+            ("freeset",),
+            "ground 0 1\narity 1\nphi {1} -> {0}\nphi {x} -> {0}\n",
+            "phi {x}: element x not in the ground set",
+        ),
+        (
+            ("freeset",),
+            "ground 0 1\narity 1\nphi {0,0} -> {1}\n",
+            "line 3: name '0' listed twice",
+        ),
+        (
+            ("freeset",),
+            "ground 0 1\narity 2\nphi {0,1} -> {1,1}\n",
+            "line 3: name '1' listed twice",
+        ),
+        (
+            # the chain 0 < 1 < 2 with its middle element declared the top
+            ("con", "quotient", "0", "1"),
+            "alg 3\njoin 0 1 2 1 1 2 2 2 2\ntop 1\n",
+            "top 1 is not the greatest element",
+        ),
     ],
 )
 def test_malformed_file_exit_2_names_its_line(capsys, tmp_path, argv, text, message):
@@ -472,6 +514,31 @@ def test_suite_corpus_dir(capsys, tmp_path):
     )
     assert code == 0
     assert "lattices=2" in out
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ("u,u", "name 'u' listed twice"),
+        ("u,,u", "empty name in 'u,,u'"),
+        ("u,", "empty name in 'u,'"),
+        (",", "empty name in ','"),
+    ],
+)
+def test_descent_er_name_sets_follow_the_file_rules(capsys, fixture_file, names, message):
+    # as on a U line: each name once, and no empty name
+    for argv in (("er", "0", "0", names, "-"), ("er", "0", "0", "-", names)):
+        code, out, err = run(capsys, "descent", fixture_file, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_suite_corpus_error_names_the_file(capsys, tmp_path):
+    (tmp_path / "a.alg").write_text(conlat.format_algebra(corpus.chain(2)))
+    (tmp_path / "b.alg").write_text("alg 2\njoin 0 1 1 x\n")
+    code, out, err = run(capsys, "suite", "--only", "funayama", "--corpus", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == "error: b.alg: line 2: invalid literal for int() with base 10: 'x'\n"
 
 
 def test_descent_bad_args_exit_2(capsys, fixture_file):

@@ -471,6 +471,17 @@ def test_operation_table_errors():
         assert outcome(fin_algebra, 3, ops, join) == ("error", message)
 
 
+def test_declared_top_is_the_greatest_element():
+    chain3 = corpus.chain(3).join
+    vee = [0, 2, 2, 2, 1, 2, 2, 2, 2]  # 0 and 1 below 2, no zero
+    for join in (chain3, vee):
+        assert fin_algebra(3, [], join, top=2).top == 2
+        for top in (0, 1):
+            message = f"top {top} is not the greatest element"
+            assert outcome(fin_algebra, 3, [], join, top) == ("error", message)
+    assert outcome(fin_algebra, 3, [], chain3, 3) == ("error", "top out of range")
+
+
 def test_sem_hom_validation():
     two = semilattice(2, [0, 1, 1, 1], 0)
     m3 = m3_semilattice()

@@ -211,21 +211,24 @@ def test_evaporation_sweep_small():
 
 
 def test_evaporation_cross_check_sample_follows_the_seed(monkeypatch):
-    # The sweep lists the z below each pair's join once, and once more for
-    # a pair in the cross-check sample, so the sequence of those listings
-    # differs exactly when the samples do.
-    listed = []
-    below = freepairs._below_avoiding
+    # The brute scan of a sampled pair compares each element of
+    # all_rank1({a, b}, 1), in order, with the pair's join w; the sweep's
+    # own checks never pass that list's first element to leq.  So the w
+    # beside it are the sample, in the order it was drawn.
+    first = freepairs.all_rank1({"a", "b"}, 1)[0]
+    assert first != ZERO
+    sampled = []
+    real_leq = freepairs.leq
     monkeypatch.setattr(
-        freepairs, "_below_avoiding", lambda w, name: listed.append(w) or below(w, name)
+        freepairs, "leq", lambda x, y: (x == first and sampled.append(y)) or real_leq(x, y)
     )
     runs = []
     for seed in (0, 1):
-        listed.clear()
+        sampled.clear()
         rep = freepairs.evaporation_sweep("a", "b", "d", side_triples=1, seed=seed)
         assert rep.notes["cross_bad"] == 0 and rep.notes["cross_checks"] > 0
-        assert len(listed) == rep.notes["pairs"] + rep.notes["cross_checks"]
-        runs.append(list(listed))
+        assert len(sampled) == rep.notes["cross_checks"]
+        runs.append(list(sampled))
     assert runs[0] != runs[1]
 
 
@@ -251,7 +254,7 @@ def test_below_avoiding_lists_the_nodes_on_the_usable_triples():
     ws = _zero_projection_nodes(over_a)
     mixed = [
         freedist.make_node(freepairs.BASE, ZERO, w.triples + (t,))
-        for w, t in zip(ws[::12], d_triples[::5])
+        for w, t in zip(ws[::9], d_triples)
     ]
     assert mixed and all(freepairs.validate(w) is w for w in mixed)
     sizes = set()
