@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -125,6 +126,48 @@ def test_check_p_consistency_with_er():
                             expected.append((r, X, Y))
             assert rep.failures == expected
             assert rep.ok == (not expected)
+
+
+# M3 (0 below the atoms 1, 2, 3, all below 4) with two rows of chains over
+# four names, n = 3: two distinct atoms join to the top, so P(k, l) both
+# holds and fails on some of its instances.
+WIDE_CHAINS = {
+    (0, "u"): (0, 1, 1, 4), (0, "v"): (0, 2, 2, 4), (0, "w"): (0, 0, 3, 4), (0, "x"): (0, 1, 4, 4),
+    (1, "u"): (1, 1, 1, 4), (1, "v"): (1, 1, 4, 4), (1, "w"): (1, 4, 4, 4), (1, "x"): (1, 1, 1, 4),
+}
+WIDE = "alg 5\njoin 0 1 2 3 4 1 1 4 4 4 2 4 2 4 4 3 4 4 3 4 4 4 4 4 4\ntop 4\nt 0 0\nt 1 1\n" + "".join(
+    f"z {r} {i} {xi} {e}\n" for (r, xi), chain in WIDE_CHAINS.items() for i, e in enumerate(chain)
+)
+
+
+def test_check_p_over_several_names_matches_er_by_definition():
+    D = parse_instance(WIDE)
+    assert (D.m, D.n, D.u_set) == (2, 3, ("u", "v", "w", "x"))
+    size, table = D.algebra.size, D.algebra.join
+
+    def er(r, k, X, Y):
+        # E_r(X, Y): the z[r][n-k] entries over X and the z[r][n-k-1] entries
+        # over Y join to the top; the empty join is the bottom, 0.
+        items = [D.z[(r, D.n - k, xi)] for xi in X]
+        items += [D.z[(r, D.n - k - 1, eta)] for eta in Y]
+        return functools.reduce(lambda a, b: table[a * size + b], items, 0) == 4
+
+    outcomes = set()
+    for k in range(D.n):
+        for l in range(2**k + 1):
+            size_x, size_y = 2**k - l, 2 * l
+            instances, failures = 0, []
+            for X in itertools.combinations(D.u_set, size_x):
+                rest = [u for u in D.u_set if u not in X]
+                for Y in itertools.combinations(rest, size_y):
+                    for r in range(D.m):
+                        instances += 1
+                        if not er(r, k, X, Y):
+                            failures.append((r, X, Y))
+            rep = check_p(D, k, l)
+            assert (rep.instances, rep.failures) == (instances, failures), (k, l)
+            outcomes.add((instances > 0, not failures))
+    assert outcomes == {(True, True), (True, False), (False, True)}
 
 
 def test_check_p_bounds():
