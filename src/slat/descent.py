@@ -5,9 +5,12 @@ An instance bundles an algebra L with top, elements t_r, chains
 z[r][i][xi] from t_r up to the top (one per generator name xi), and a
 map mu from principal congruences of L (masks over J(Con L)) into the
 generated semilattice, extended to arbitrary congruences by joining the
-listed values below them.  The validator itemizes every premise; the
-equality checks E_r(X, Y) and the quantified statements P(k, l)
-evaluate the chain data directly and report failures as data, not errors.
+listed values below them.  An instance is read complete: n, the largest
+chain index, is fixed at parse time, and a missing z[r][i][xi] is a
+FormatError.  The validator itemizes every premise, walking each chain
+once; the equality checks E_r(X, Y) and the quantified statements
+P(k, l) evaluate the chain data directly and report failures as data,
+not errors.
 """
 
 from __future__ import annotations
@@ -26,24 +29,18 @@ class DescentInstance:
     algebra: FinAlgebra
     omega: tuple
     t: tuple
-    z: dict
+    z: dict  # (r, i, xi) -> element, for every r < m, 0 <= i <= n and xi in omega
+    n: int
     mu_lines: tuple
     u_set: tuple
-    _mu_hat_memo: dict = field(default_factory=dict, repr=False)
+    _mu_hat_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.t)
 
-    @property
-    def n(self) -> int:
-        return max(i for (_, i, _) in self.z)
-
     def z_at(self, r: int, i: int, xi: str) -> int:
-        try:
-            return self.z[(r, i, xi)]
-        except KeyError:
-            raise ValueError(f"missing z entry (r={r}, i={i}, xi={xi})") from None
+        return self.z[(r, i, xi)]
 
     @cached_property
     def mu(self) -> dict:
@@ -94,37 +91,12 @@ def validate_instance(D: DescentInstance) -> Report:
         return rep
     top = L.top
 
-    complete = all(
-        (r, i, xi) in D.z
-        for r in range(D.m)
-        for i in range(D.n + 1)
-        for xi in D.omega
-    )
-    rep.add("z-array-complete", complete)
-    if not complete:
-        return rep
-
-    rep.add(
-        "z-starts-at-t",
-        all(
-            D.z_at(r, 0, xi) == D.t[r] for r in range(D.m) for xi in D.omega
-        ),
-    )
-    rep.add(
-        "z-ends-at-top",
-        all(
-            D.z_at(r, D.n, xi) == top for r in range(D.m) for xi in D.omega
-        ),
-    )
-    rep.add(
-        "t-below-z",
-        all(
-            L.leq(D.t[r], D.z_at(r, i, xi))
-            for r in range(D.m)
-            for i in range(D.n + 1)
-            for xi in D.omega
-        ),
-    )
+    chains = [
+        (r, xi, [D.z[r, i, xi] for i in range(D.n + 1)]) for r in range(D.m) for xi in D.omega
+    ]
+    rep.add("z-starts-at-t", all(zs[0] == D.t[r] for r, _, zs in chains))
+    rep.add("z-ends-at-top", all(zs[-1] == top for _, _, zs in chains))
+    rep.add("t-below-z", all(L.leq(D.t[r], e) for r, _, zs in chains for e in zs))
 
     bad_mu = []
     for x, y, value in D.mu_lines:
@@ -158,13 +130,12 @@ def validate_instance(D: DescentInstance) -> Report:
         freepairs.serialize(decomposition),
     )
 
-    bad = []
-    for r in range(D.m):
-        for xi in D.omega:
-            for i in range(D.n):
-                img = D.mu_theta(D.z_at(r, i, xi), D.z_at(r, i + 1, xi))
-                if not freepairs.leq(img, freepairs.gen(epsilon(i), xi)):
-                    bad.append(f"(r={r},i={i},xi={xi})")
+    bad = [
+        f"(r={r},i={i},xi={xi})"
+        for r, xi, zs in chains
+        for i in range(D.n)
+        if not freepairs.leq(D.mu_theta(zs[i], zs[i + 1]), freepairs.gen(epsilon(i), xi))
+    ]
     rep.add("chain-bounds", not bad, "; ".join(bad))
 
     rep.add("mu-separates-zero", all(D.mu_hat(m) != freepairs.ZERO for m in masks if m))
@@ -181,9 +152,11 @@ def check_er(D: DescentInstance, r: int, k: int, X, Y) -> bool:
         raise ValueError(f"r must be below {D.m}")
     if k < 0 or D.n - k - 1 < 0:
         raise ValueError("k out of range for the chain length")
+    if not (X | Y).issubset(D.omega):
+        raise ValueError(f"name {min((X | Y) - set(D.omega))!r} has no chain")
     L = D.algebra
-    items = [D.z_at(r, D.n - k, xi) for xi in sorted(X)]
-    items += [D.z_at(r, D.n - k - 1, eta) for eta in sorted(Y)]
+    items = [D.z[r, D.n - k, xi] for xi in sorted(X)]
+    items += [D.z[r, D.n - k - 1, eta] for eta in sorted(Y)]
     return L.join_all(items) == L.top
 
 
@@ -276,11 +249,18 @@ def parse_instance(text: str) -> DescentInstance:
         if i < 0:
             raise FormatError(f"z {r} {i} {xi}: chain index {i} below 0")
     omega = tuple(sorted({xi for (_, _, xi) in z}))
+    n = max(i for (_, i, _) in z)
+    for key in itertools.product(range(len(t)), range(n + 1), omega):
+        if key not in z:
+            raise FormatError(
+                f"{z_label(key)}: missing; each name needs a z line for every r in"
+                f" 0..{len(t) - 1} and i in 0..{n}"
+            )
     if u_names is None:
         u_names = omega
     if not set(u_names) <= set(omega):
         raise FormatError("U mentions names outside the z lines")
-    return DescentInstance(L, omega, t, z, tuple(mu_lines), u_names)
+    return DescentInstance(L, omega, t, z, n, tuple(mu_lines), u_names)
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +324,14 @@ MUTATIONS = (
 )
 
 
+# The fixture's three checks, by detector name: each holds on the fixture.
+DETECTORS = {
+    "validate": lambda D: validate_instance(D).ok,
+    "er": lambda D: check_er(D, 0, 0, {"u"}, set()),
+    "p": lambda D: check_p(D, 0, 0).ok,
+}
+
+
 def mutation_detected(mut: Mutation) -> bool:
     """Whether the targeted checker flags the mutated fixture."""
-    D = parse_instance(mut.apply(FIXTURE))
-    if mut.detector == "validate":
-        return not validate_instance(D).ok
-    if mut.detector == "er":
-        return not check_er(D, 0, 0, {"u"}, set())
-    if mut.detector == "p":
-        return not check_p(D, 0, 0).ok
-    raise ValueError(f"unknown detector {mut.detector!r}")
+    return not DETECTORS[mut.detector](parse_instance(mut.apply(FIXTURE)))

@@ -321,13 +321,9 @@ def mutations() -> tuple:
     is caught by its own.  Returns (clean, missed names, caught per
     detector)."""
     base = descent.fixture()
-    clean = (
-        descent.validate_instance(base).ok
-        and descent.check_er(base, 0, 0, {"u"}, set())
-        and descent.check_p(base, 0, 0).ok
-    )
+    clean = all(check(base) for check in descent.DETECTORS.values())
     missed = []
-    caught = {"validate": 0, "er": 0, "p": 0}
+    caught = dict.fromkeys(descent.DETECTORS, 0)
     for mut in descent.MUTATIONS:
         if descent.mutation_detected(mut):
             caught[mut.detector] += 1

@@ -396,12 +396,29 @@ def test_descent_commands(capsys, fixture_file):
         ("mu 0 3 1", "mu -1 2 1", "mu -1 2: element -1 not in 0..3"),
         ("U u", "U u\nz 1 0 u 0", "z 1 0 u: row 1 not in 0..0"),
         ("U u", "U u\nz 0 -1 u 2", "z 0 -1 u: chain index -1 below 0"),
+        (
+            "z 0 1 u 1\n",
+            "",
+            "z 0 1 u: missing; each name needs a z line for every r in 0..0 and i in 0..2",
+        ),
+        (
+            "U u",
+            "U u\nz 0 0 v 0",
+            "z 0 1 v: missing; each name needs a z line for every r in 0..0 and i in 0..2",
+        ),
+        (
+            "U u",
+            "U u\nz 0 4 u 3",
+            "z 0 3 u: missing; each name needs a z line for every r in 0..0 and i in 0..4",
+        ),
     ],
 )
 def test_descent_elements_outside_the_carrier_exit_2(capsys, tmp_path, command, old, new, message):
     # Each t, z and mu element must lie in 0..k-1, and each z row in
     # 0..m-1 with a chain index of at least 0: no IndexError, no
-    # wrap-around through negative indexing, no silent pass.
+    # wrap-around through negative indexing, no silent pass.  With n the
+    # largest chain index, every name has a z line for each r < m and
+    # 0 <= i <= n; the first missing key, in (r, i, name) order, is named.
     assert descent.FIXTURE.count(old) == 1
     path = tmp_path / "bad.dsc"
     path.write_text(descent.FIXTURE.replace(old, new))
@@ -523,10 +540,13 @@ def test_suite_corpus_dir(capsys, tmp_path):
         ("u,,u", "empty name in 'u,,u'"),
         ("u,", "empty name in 'u,'"),
         (",", "empty name in ','"),
+        ("v", "name 'v' has no chain"),
+        ("u,b,a", "name 'a' has no chain"),
     ],
 )
 def test_descent_er_name_sets_follow_the_file_rules(capsys, fixture_file, names, message):
-    # as on a U line: each name once, and no empty name
+    # as on a U line: each name once, no empty name, and only names that
+    # have z lines
     for argv in (("er", "0", "0", names, "-"), ("er", "0", "0", "-", names)):
         code, out, err = run(capsys, "descent", fixture_file, *argv)
         assert code == 2 and out == ""

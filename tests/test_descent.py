@@ -76,6 +76,13 @@ def test_mu_extension():
     assert D.mu_hat(0) == freepairs.ZERO  # the identity congruence's mask
 
 
+def test_instance_equality_ignores_the_mu_hat_memo():
+    D, E = fixture(), fixture()
+    assert D == E
+    assert validate_instance(D).ok and D._mu_hat_memo and not E._mu_hat_memo
+    assert D == E
+
+
 def mu_hat_oracle(D, c):
     """mu extended by joins, on partitions: the join of the first listed
     value of each principal congruence that refines c."""
