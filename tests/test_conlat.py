@@ -307,6 +307,44 @@ def test_is_compatible_specific():
     assert not is_compatible(L, skip_mid, table=L.join)
 
 
+def compatible_by_definition(L, c, tables):
+    """For all a ~ a' and b ~ b': f(a, b) ~ f(a', b'); for unary f, f(a) ~ f(a')."""
+    n, rel = L.size, c.relates
+    related = [(a, a2) for a in range(n) for a2 in range(n) if rel(a, a2)]
+    for arity, f in tables:
+        if arity == 1:
+            if not all(rel(f[a], f[a2]) for a, a2 in related):
+                return False
+        elif not all(
+            rel(f[a * n + b], f[a2 * n + b2]) for a, a2 in related for b, b2 in related
+        ):
+            return False
+    return True
+
+
+def test_is_compatible_matches_the_definition():
+    algebras = [corpus.chain(4), corpus.n5(), corpus.m3()]
+    algebras += [L for _, L in unary_algebras()] + [noncommutative_algebra()]
+    verdicts = collections.Counter()
+    for L in algebras:
+        ops = [(op.arity, op.table) for op in L.ops]
+        for c in all_partitions(L.size):
+            expected = compatible_by_definition(L, c, ops)
+            assert is_compatible(L, c) == expected, (L, c)
+            by_join = compatible_by_definition(L, c, [(2, L.join)])
+            assert is_compatible(L, c, table=L.join) == by_join, (L, c)
+            verdicts[expected, by_join] += 1
+    L = bare_chain(3)
+    for c in all_partitions(3):
+        by_join = compatible_by_definition(L, c, [(2, L.join)])
+        assert is_compatible(L, c, table=L.join) == by_join, c
+        verdicts["bare", by_join] += 1
+    # Every basic-operation set here holds the join, so (True, False) cannot occur.
+    assert set(verdicts) == {
+        (True, True), (False, True), (False, False), ("bare", True), ("bare", False)
+    }
+
+
 # -- semilattice tables -------------------------------------------------------
 
 
@@ -581,10 +619,18 @@ def test_quotient_n5_collapse():
 
 
 def test_quotient_rejects_incompatible():
+    # The size is checked first, then the basic operations (n5's include
+    # its join, so bad fails both), then the designated join.
     L = corpus.n5()
+    with pytest.raises(DomainError, match="^partition size mismatch$"):
+        quotient(L, identity_congruence(4))
     bad = congruence_from_blocks(5, [(0, 1), (2,), (3,), (4,)])
-    with pytest.raises(DomainError):
+    assert not is_compatible(L, bad, table=L.join)
+    with pytest.raises(DomainError, match="^partition not compatible with basic operations$"):
         quotient(L, bad)
+    skip_mid = congruence_from_blocks(3, [(0, 2), (1,)])
+    with pytest.raises(DomainError, match="^partition not compatible with designated join$"):
+        quotient(bare_chain(3), skip_mid)
 
 
 def test_quotient_tables_commute_with_the_projection():
