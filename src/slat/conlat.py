@@ -322,28 +322,21 @@ def fin_algebra(size, ops, join, top=None) -> FinAlgebra:
 # Congruence generation
 
 
+def _induced(c: Congruence, table, arity: int) -> tuple | None:
+    """The table that a table of this arity induces on c's blocks, row-major by block
+    id; None where it is not well defined (related arguments, unrelated images)."""
+    proj, induced = c.block_of, {}
+    for args, image in zip(itertools.product(proj, repeat=arity), table):
+        if induced.setdefault(args, proj[image]) != proj[image]:
+            return None
+    return tuple(v for _, v in sorted(induced.items()))
+
+
 def is_compatible(L: FinAlgebra, c: Congruence, table=None) -> bool:
-    """Compatibility of a partition with one binary table (default: all basic ops)."""
-    if table is not None:
-        ops = (Operation("_", 2, tuple(table)),)
-    else:
-        ops = L.ops
-    n = L.size
-    for op in ops:
-        for a in range(n):
-            for b in range(n):
-                if not c.relates(a, b):
-                    continue
-                if op.arity == 1:
-                    if not c.relates(op.table[a], op.table[b]):
-                        return False
-                else:
-                    for z in range(n):
-                        if not c.relates(op.table[a * n + z], op.table[b * n + z]):
-                            return False
-                        if not c.relates(op.table[z * n + a], op.table[z * n + b]):
-                            return False
-    return True
+    """Whether c is compatible with every basic operation (or with the one
+    binary table given): each induces a well-defined table on c's blocks."""
+    tables = [(table, 2)] if table is not None else [(op.table, op.arity) for op in L.ops]
+    return all(_induced(c, t, arity) is not None for t, arity in tables)
 
 
 @lru_cache(maxsize=None)
@@ -671,35 +664,21 @@ def weakly_distributive_at(mu: SemHom, x: int) -> bool:
 def quotient(L: FinAlgebra, c: Congruence):
     """The quotient algebra modulo c and the projection array.
 
-    c must be compatible with every basic operation and with the
-    designated join, which makes every induced table well defined and the
-    induced join a semilattice, so the result skips ``fin_algebra()``'s recheck.
+    Each table is the one its operation induces on c's blocks, which exists
+    exactly when c is compatible with it; the designated join's is then a
+    semilattice, so the result skips ``fin_algebra()``'s recheck.
     """
     if c.size != L.size:
         raise freedist.DomainError("partition size mismatch")
-    if not is_compatible(L, c):
+    ops = tuple(op._replace(table=_induced(c, op.table, op.arity)) for op in L.ops)
+    if any(op.table is None for op in ops):
         raise freedist.DomainError("partition not compatible with basic operations")
-    if not is_compatible(L, c, table=L.join):
+    join = _induced(c, L.join, 2)
+    if join is None:
         raise freedist.DomainError("partition not compatible with designated join")
     proj = c.block_of  # canonical: block i is the i-th block by least member
-    rep = [blk[0] for blk in c.blocks()]
-    nb = len(rep)
-
-    def induce(table, arity):
-        if arity == 1:
-            return tuple(proj[table[rep[a]]] for a in range(nb))
-        return tuple(
-            proj[table[rep[a] * L.size + rep[b]]]
-            for a in range(nb)
-            for b in range(nb)
-        )
-
-    ops = tuple(
-        Operation(op.name, op.arity, induce(op.table, op.arity)) for op in L.ops
-    )
-    join = induce(L.join, 2)
     top = proj[L.top] if L.top is not None else None
-    return FinAlgebra(nb, ops, join, top), proj
+    return FinAlgebra(len(set(proj)), ops, join, top), proj
 
 
 def _relation_masks(c: Congruence) -> tuple:

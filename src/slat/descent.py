@@ -154,10 +154,13 @@ def check_er(D: DescentInstance, r: int, k: int, X, Y) -> bool:
         raise ValueError("k out of range for the chain length")
     if not (X | Y).issubset(D.omega):
         raise ValueError(f"name {min((X | Y) - set(D.omega))!r} has no chain")
-    L = D.algebra
-    items = [D.z[r, D.n - k, xi] for xi in sorted(X)]
-    items += [D.z[r, D.n - k - 1, eta] for eta in sorted(Y)]
-    return L.join_all(items) == L.top
+    return _er(D, r, k, sorted(X), sorted(Y))
+
+
+def _er(D: DescentInstance, r: int, k: int, X, Y) -> bool:
+    """E_r(X, Y) on arguments check_er would accept, X and Y sorted."""
+    items = [D.z[r, D.n - k, xi] for xi in X] + [D.z[r, D.n - k - 1, eta] for eta in Y]
+    return D.algebra.join_all(items) == D.algebra.top
 
 
 @dataclass
@@ -201,7 +204,7 @@ def check_p(D: DescentInstance, k: int, l: int) -> PReport:
         rest = [u for u in U if u not in X]
         for Y in itertools.combinations(rest, size_y):
             for r in range(D.m):
-                if not check_er(D, r, k, X, Y):
+                if not _er(D, r, k, X, Y):
                     rep.failures.append((r, tuple(X), tuple(Y)))
     return rep
 
