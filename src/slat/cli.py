@@ -72,13 +72,13 @@ def cmd_check_lemma44(args) -> int:
 def cmd_con(args) -> int:
     L = conlat.parse_algebra(Path(args.file).read_text())
     if args.con_cmd == "conc":
-        result = conlat.conc(L)
+        result, con, n = conlat.conc(L), L.con_index, L.size
         print(f"conc size={result.table.size} zero={result.table.zero}")
         for i, c in enumerate(result.congruences):
             print(f"c{i} {c.serialize()}")
-        for x in range(L.size):
-            for y in range(L.size):
-                print(f"theta {x} {y} = c{result.pair_index[(x, y)]}")
+        for x in range(n):
+            for y in range(n):
+                print(f"theta {x} {y} = c{con.join(con.pmask[x * n + y])}")
         return 0
     if args.con_cmd == "theta":
         print(conlat.theta(L, args.x, args.y).serialize())

@@ -397,39 +397,42 @@ class Congruences:
     have distinct masks, a ≤ b exactly when jmask[a] is a subset of
     jmask[b], and jmask[a] & jmask[b] is the mask of a ∧ b; the identity
     congruence is last.  ``join`` is the ``__getitem__`` of a JoinTable,
-    and ``pmask[x * n + y]``, filled in by ``all_congruences``, is the mask
-    of Θ(x, y).  When Con A is distributive, as it is for every lattice, the
-    masks are exactly the down-sets of J(Con A) (Birkhoff), so a union of
-    masks is a mask and a join runs no Python frame.
+    and ``pmask[x * n + y]`` is the mask of Θ(x, y).  When Con A is
+    distributive, as it is for every lattice, the masks are exactly the
+    down-sets of J(Con A) (Birkhoff), so a union of masks is a mask and a
+    join runs no Python frame.
+
+    Built from ``masks``, each congruence of L to its mask, and ``known``,
+    pairs (x, y) to the mask of Θ(x, y): at least every cover, or every
+    pair when the join is not basic.  The rest of ``pmask`` comes from the
+    covers: that of a < b is the join of those of a ≺ c and c < b, c the
+    first cover of a below b (fewer above first, so c < b is known), and
+    that of x, y the join of those of x < x v y, y < x v y.
     """
 
-    def __init__(self, cons: tuple, jmask: tuple):
-        self.cons, self.jmask = cons, jmask
-        self.join = JoinTable(jmask).__getitem__
-        self.pmask = ()
+    def __init__(self, L: FinAlgebra, masks: dict, known: dict):
+        self.cons = tuple(sorted(masks, key=lambda c: c.block_of))
+        self.jmask = jmask = tuple(map(masks.__getitem__, self.cons))
+        self.join = lub = JoinTable(jmask).__getitem__
+        n, join, up, upper = L.size, L.join, L.order[1], L.covers
+        pmask = [None] * (n * n)
+        pmask[:: n + 1] = [0] * n  # Θ(x, x) is the identity congruence
+        for (x, y), m in known.items():
+            pmask[x * n + y] = pmask[y * n + x] = m
+        for a in sorted(range(n), key=lambda a: up[a].bit_count()):
+            for b in range(n):
+                if pmask[a * n + b] is None and up[a] >> b & 1:
+                    c = next(c for c in upper[a] if up[c] >> b & 1)
+                    m = jmask[lub(pmask[a * n + c] | pmask[c * n + b])]
+                    pmask[a * n + b] = pmask[b * n + a] = m
+        for x, y in itertools.combinations(range(n), 2):
+            if pmask[x * n + y] is None:
+                s = join[x * n + y]
+                pmask[x * n + y] = pmask[y * n + x] = jmask[lub(pmask[x * n + s] | pmask[y * n + s])]
+        self.pmask = tuple(pmask)
 
     def __len__(self) -> int:
         return len(self.cons)
-
-
-def _fill_pmask(L: FinAlgebra, con: Congruences, pmask: list) -> None:
-    """Fill ``pmask`` from the masks of the covers in it and store it as
-    ``con.pmask``: that of a < b is the join (by ``con``) of those of a ≺ c
-    and c < b, c the first cover of a below b (fewer above first, so c < b
-    is known), and that of x, y the join of those of x < x v y, y < x v y."""
-    n, join, up, upper = L.size, L.join, L.order[1], L.covers
-    jmask, lub = con.jmask, con.join
-    for a in sorted(range(n), key=lambda a: up[a].bit_count()):
-        for b in range(n):
-            if pmask[a * n + b] is None and up[a] >> b & 1:
-                c = next(c for c in upper[a] if up[c] >> b & 1)
-                m = jmask[lub(pmask[a * n + c] | pmask[c * n + b])]
-                pmask[a * n + b] = pmask[b * n + a] = m
-    for x, y in itertools.combinations(range(n), 2):
-        if pmask[x * n + y] is None:
-            s = join[x * n + y]
-            pmask[x * n + y] = pmask[y * n + x] = jmask[lub(pmask[x * n + s] | pmask[y * n + s])]
-    con.pmask = tuple(pmask)
 
 
 def _lattice_congruences(L: FinAlgebra) -> Congruences:
@@ -460,28 +463,21 @@ def _lattice_congruences(L: FinAlgebra) -> Congruences:
     # Each cover a ≺ b takes the mask of (j_*, j), j minimal with j ≤ b and
     # j ≰ a: an element with more above it comes first.
     irr.sort(key=lambda j: -up[j].bit_count())
-    pmask = [None] * (n * n)
-    pmask[:: n + 1] = [0] * n
     steps = []  # (b, a, g) for a ≺ b with the mask of J[g], b in a linear extension of L
     for b in sorted(range(n), key=lambda b: down[b].bit_count()):
         for a in lower[b]:
             j = next(j for j in irr if (down[b] & ~down[a]) >> j & 1)
-            g = where[below[j]]
-            pmask[a * n + b] = pmask[b * n + a] = gmask[g]
-            steps.append((b, a, g))
+            steps.append((b, a, where[below[j]]))
     # A congruence class of a lattice is an interval, so an element that is
     # not the least of its class shares it with a collapsed lower cover.
-    cons = []
+    mask_of = {}
     for m in masks:
         block = list(range(n))
         for b, a, g in steps:
             if m >> g & 1:
                 block[b] = block[a]
-        cons.append(congruence_from_blockof(block))
-    order = sorted(range(len(cons)), key=lambda i: cons[i].block_of)
-    con = Congruences(tuple(cons[i] for i in order), tuple(masks[i] for i in order))
-    _fill_pmask(L, con, pmask)
-    return con
+        mask_of[congruence_from_blockof(block)] = m
+    return Congruences(L, mask_of, {(a, b): gmask[g] for b, a, g in steps})
 
 
 @lru_cache(maxsize=None)
@@ -511,7 +507,7 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     join-irreducible Θ(x, y) whose generating pair c relates.
 
     With a join among the basic operations, ``pmask`` comes from the masks
-    of the covers (see ``_fill_pmask``); otherwise from the Θ of each pair.
+    of the covers (see ``Congruences``); otherwise from the Θ of each pair.
     """
     n, joined = L.size, L.join_name is not None
     meet = next((op.table for op in L.ops if op.name == L.meet_name), None)
@@ -529,16 +525,8 @@ def all_congruences(L: FinAlgebra) -> Congruences:
         if g not in found:
             irr.append(gens[g])
             found |= {part_join(c, g) for c in found}
-    cons = tuple(sorted(found, key=lambda c: c.block_of))
-    jmask = tuple(sum(1 << g for g, (x, y) in enumerate(irr) if c.relates(x, y)) for c in cons)
-    con = Congruences(cons, jmask)
-    mask = dict(zip(cons, jmask))
-    pmask = [None] * (n * n)
-    pmask[:: n + 1] = [0] * n  # Θ(x, x) is the identity congruence
-    for (x, y), c in zip(pairs, thetas):
-        pmask[x * n + y] = pmask[y * n + x] = mask[c]
-    _fill_pmask(L, con, pmask)  # without a basic join, every pair's Θ is in pmask
-    return con
+    mask_of = {c: sum(1 << g for g, (x, y) in enumerate(irr) if c.relates(x, y)) for c in found}
+    return Congruences(L, mask_of, {p: mask_of[c] for p, c in zip(pairs, thetas)})
 
 
 def check_congruence_compatible(L: FinAlgebra) -> bool:
@@ -565,25 +553,23 @@ def semilattice(size, join, zero) -> FinAlgebra:
 class ConcResult(NamedTuple):
     table: FinAlgebra
     congruences: tuple
-    pair_index: dict
 
 
 def conc(L: FinAlgebra) -> ConcResult:
     """The (join, 0)-semilattice of finitely generated congruences of L.
 
     Returns the join table over the canonically sorted congruence list,
-    plus the map sending a carrier pair to the index of its principal
-    congruence.  Entry (a, b) of the table is the join of the
-    join-irreducibles below a or b (``Congruences.join`` of the union of
-    their masks).  It is a semilattice by construction, so it skips
-    ``semilattice()``'s recheck; its zero is the identity congruence, last.
+    and that list (the principal ones are read off ``L.con_index.pmask``).
+    Entry (a, b) of the table is the join of the join-irreducibles below a
+    or b (``Congruences.join`` of the union of their masks).  It is a
+    semilattice by construction, so it skips ``semilattice()``'s recheck;
+    its zero is the identity congruence, last.
     """
     con = L.con_index
     rows = (map(con.join, map(mb.__or__, con.jmask)) for mb in con.jmask)
     table = tuple(itertools.chain.from_iterable(rows))
     S = FinAlgebra(len(con), (Operation("join", 2, table),), table)
-    pair_index = dict(zip(itertools.product(range(L.size), repeat=2), map(con.join, con.pmask)))
-    return ConcResult(S, con.cons, pair_index)
+    return ConcResult(S, con.cons)
 
 
 def is_distributive(S: FinAlgebra) -> bool:

@@ -39,9 +39,6 @@ class DescentInstance:
     def m(self) -> int:
         return len(self.t)
 
-    def z_at(self, r: int, i: int, xi: str) -> int:
-        return self.z[(r, i, xi)]
-
     @cached_property
     def mu(self) -> dict:
         """Each listed pair's Θ(x, y), as a mask, to its value: the first listing

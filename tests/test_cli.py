@@ -35,6 +35,11 @@ def test_eval_syntax_error_exit_2(capsys):
     assert "1:11" in err
 
 
+def test_eval_too_deeply_nested_exit_2(capsys):
+    code, out, err = run(capsys, "eval", "join(" * 3000 + "0" + ",0)" * 3000)
+    assert (code, out, err) == (2, "", "error: input too deeply nested\n")
+
+
 def test_leq(capsys):
     code, out, _ = run(capsys, "leq", "bowtie(a0(x),a1(x),1)", "a0(x)")
     assert code == 0 and out == "true\n"
@@ -70,6 +75,21 @@ def test_check_commands(capsys):
         "--x", "0", "--y", "0", "--z", "0",
     )
     assert code == 0 and out == "holds\n"
+
+
+@pytest.mark.parametrize(
+    "y, z, premises",
+    [
+        ("a0(a)", "0", "a occurs in y; y <= a_1^delta fails; y <= a_j^beta fails"),
+        ("0", "a0(d)", "d occurs in z; z <= x v y fails"),
+    ],
+)
+def test_check_evaporation_names_each_failed_premise(capsys, y, z, premises):
+    code, out, _ = run(
+        capsys, "check", "evaporation", "--alpha", "a", "--beta", "b",
+        "--delta", "d", "--i", "0", "--j", "1", "--x", "0", "--y", y, "--z", z,
+    )
+    assert code == 1 and out == f"premise-failed: {premises}\n"
 
 
 _EVAPORATION = ["--alpha", "a", "--beta", "b", "--delta", "d", "--i", "0", "--j", "1",
@@ -113,6 +133,14 @@ def test_con_conc(capsys, n5_file):
     lines = out.splitlines()
     assert lines[0] == "conc size=5 zero=4"
     assert "theta 1 2 = c3" in lines
+
+
+@pytest.mark.parametrize("argv", [("theta", "5", "0"), ("quotient", "0", "7")])
+def test_con_element_out_of_range_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "c3.alg"
+    path.write_text(conlat.format_algebra(corpus.chain(3)))
+    code, out, err = run(capsys, "con", str(path), *argv)
+    assert (code, out, err) == (2, "", "error: elements must lie in 0..2\n")
 
 
 def test_con_erosion(capsys, tmp_path):
@@ -367,6 +395,15 @@ def test_wd_map_repeated_line_exit_2(capsys, tmp_path):
     assert err == "error: line 5: map 0 defined twice\n"
 
 
+def test_wd_map_image_out_of_range_exit_2(capsys, tmp_path):
+    alg = tmp_path / "chain.alg"
+    alg.write_text("alg 2\njoin 0 1 1 1\n")
+    mu = tmp_path / "mu.map"
+    mu.write_text("sem 2\njoin 0 1 1 1\nzero 0\nmap 0 0\nmap 1 5\n")
+    code, out, err = run(capsys, "con", str(alg), "wd", str(mu))
+    assert (code, out, err) == (2, "", "error: image entry out of range\n")
+
+
 @pytest.fixture
 def fixture_file(tmp_path):
     path = tmp_path / "fix.dsc"
@@ -411,6 +448,7 @@ def test_descent_commands(capsys, fixture_file):
             "U u\nz 0 4 u 3",
             "z 0 3 u: missing; each name needs a z line for every r in 0..0 and i in 0..4",
         ),
+        ("U u", "U u v", "U mentions names outside the z lines"),
     ],
 )
 def test_descent_elements_outside_the_carrier_exit_2(capsys, tmp_path, command, old, new, message):
@@ -531,6 +569,12 @@ def test_suite_corpus_dir(capsys, tmp_path):
     )
     assert code == 0
     assert "lattices=2" in out
+
+
+def test_suite_empty_corpus_dir_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "suite", "--corpus", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: no .alg files in {tmp_path}\n"
 
 
 @pytest.mark.parametrize(

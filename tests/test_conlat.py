@@ -10,6 +10,7 @@ import pytest
 from slat import conlat, corpus, descent
 from slat.cli import main
 from slat.conlat import (
+    Congruences,
     FinAlgebra,
     FormatError,
     JoinTable,
@@ -401,10 +402,11 @@ def test_is_distributive_matches_the_witness_search():
 
 
 def test_semilattice_validation():
-    with pytest.raises(ValueError):
-        semilattice(2, [0, 1, 1, 0], 0)  # not idempotent at 1
-    with pytest.raises(ValueError):
-        semilattice(2, [1, 1, 1, 1], 0)  # zero not neutral
+    with pytest.raises(ValueError, match="join not idempotent at 1"):
+        semilattice(2, [0, 1, 1, 0], 0)
+    # a semilattice table whose least element is 0, not the given 1
+    with pytest.raises(ValueError, match="zero not neutral"):
+        semilattice(2, [0, 1, 1, 1], 1)
 
 
 def semilattice_check_oracle(size, table):
@@ -1017,9 +1019,10 @@ def test_conc_table_is_part_join_on_every_ordered_pair():
 def test_conc_of_a_chain_is_boolean():
     # Con of an n-chain is 2^(n-1), its atoms the n - 1 covering pairs
     for n in (8, 9, 10):
-        res = conc(corpus.chain(n))
-        assert res.table.size == 2 ** (n - 1)
-        assert len({res.pair_index[i, i + 1] for i in range(n - 1)}) == n - 1
+        L = corpus.chain(n)
+        assert conc(L).table.size == 2 ** (n - 1)
+        con = L.con_index
+        assert len({con.join(con.pmask[i * n + i + 1]) for i in range(n - 1)}) == n - 1
 
 
 def test_congruences_of_a_product_are_pairs_of_congruences():
@@ -1187,6 +1190,18 @@ def test_con_index_matches_the_partition_operations():
         for k in range(3):
             R = relabeled(L, rng)
             assert_pmask_is_theta(f"{name}#{k}", R, itertools.product(range(R.size), repeat=2))
+
+
+def test_congruences_is_built_from_masks_and_known_thetas():
+    # The constructor sorts the congruences itself, and fills each pmask
+    # entry that ``known`` leaves out from the masks of the covers.
+    square = [("swapped-square", swapped_square())]
+    for name, L in corpus_and_products() + join_only_algebras() + square:
+        con, n = L.con_index, L.size
+        masks = dict(zip(reversed(con.cons), reversed(con.jmask)))
+        for pairs in (covering_pairs(L), itertools.combinations(range(n), 2)):
+            new = Congruences(L, masks, {(x, y): con.pmask[x * n + y] for x, y in pairs})
+            assert (new.cons, new.jmask, new.pmask) == (con.cons, con.jmask, con.pmask), name
 
 
 def join_irreducibles(L):

@@ -22,7 +22,7 @@ from helpers import refines
 def s_of(D, X) -> frozenset:
     """Join-closure of the chain entries over the names in X."""
     gens = {
-        D.z_at(r, i, xi)
+        D.z[r, i, xi]
         for r in range(D.m)
         for i in range(D.n + 1)
         for xi in X

@@ -89,6 +89,11 @@ def test_deserialize_rejects_invalid_forms():
         deserialize("pair([x],[x)")
     with pytest.raises(ParseError):
         deserialize("pair([x],[x])")  # overlapping sides
+    with pytest.raises(ParseError, match=r"^1:1: expected a value, found 'nope'$"):
+        deserialize("nope")
+    triple = "(pair([x],[]),pair([],[x]),top)"
+    with pytest.raises(ReducedFormError, match="^ordering: duplicate triples$"):
+        deserialize(f"red(pair([],[]); [{triple},{triple}])")
 
 
 def test_render_roundtrip():

@@ -88,7 +88,7 @@ def test_funayama(monkeypatch):
     not_distributive = conlat.semilattice(m3.size, m3.join, 0)
     assert not conlat.is_distributive(not_distributive)
     monkeypatch.setattr(
-        conlat, "conc", lambda L: conlat.ConcResult(not_distributive, (), {})
+        conlat, "conc", lambda L: conlat.ConcResult(not_distributive, ())
     )
     assert suite.funayama(lattices) == ["m3"]
 
