@@ -404,20 +404,25 @@ class Congruences:
 
     Built from ``masks``, each congruence of L to its mask, and ``known``,
     pairs (x, y) to the mask of Θ(x, y): at least every cover, or every
-    pair when the join is not basic.  The rest of ``pmask`` comes from the
-    covers: that of a < b is the join of those of a ≺ c and c < b, c the
-    first cover of a below b (fewer above first, so c < b is known), and
-    that of x, y the join of those of x < x v y, y < x v y.
+    pair when the join is not basic.  ``pmask`` is filled from the covers
+    on first read: that of a < b is the join of those of a ≺ c and c < b,
+    c the first cover of a below b (fewer above first, so c < b is known),
+    and that of x, y the join of those of x < x v y, y < x v y.
     """
 
     def __init__(self, L: FinAlgebra, masks: dict, known: dict):
         self.cons = tuple(sorted(masks, key=lambda c: c.block_of))
-        self.jmask = jmask = tuple(map(masks.__getitem__, self.cons))
-        self.join = lub = JoinTable(jmask).__getitem__
-        n, join, up, upper = L.size, L.join, L.order[1], L.covers
+        self.jmask = tuple(map(masks.__getitem__, self.cons))
+        self.join = JoinTable(self.jmask).__getitem__
+        self.L, self.known = L, known
+
+    @cached_property
+    def pmask(self) -> tuple:
+        jmask, lub = self.jmask, self.join
+        n, join, up, upper = self.L.size, self.L.join, self.L.order[1], self.L.covers
         pmask = [None] * (n * n)
         pmask[:: n + 1] = [0] * n  # Θ(x, x) is the identity congruence
-        for (x, y), m in known.items():
+        for (x, y), m in vars(self).pop("known").items():  # pmask holds them from here on
             pmask[x * n + y] = pmask[y * n + x] = m
         for a in sorted(range(n), key=lambda a: up[a].bit_count()):
             for b in range(n):
@@ -429,7 +434,7 @@ class Congruences:
             if pmask[x * n + y] is None:
                 s = join[x * n + y]
                 pmask[x * n + y] = pmask[y * n + x] = jmask[lub(pmask[x * n + s] | pmask[y * n + s])]
-        self.pmask = tuple(pmask)
+        return tuple(pmask)
 
     def __len__(self) -> int:
         return len(self.cons)
@@ -559,7 +564,7 @@ def conc(L: FinAlgebra) -> ConcResult:
     """The (join, 0)-semilattice of finitely generated congruences of L.
 
     Returns the join table over the canonically sorted congruence list,
-    and that list (the principal ones are read off ``L.con_index.pmask``).
+    and that list, read off ``L.con_index`` without filling its ``pmask``.
     Entry (a, b) of the table is the join of the join-irreducibles below a
     or b (``Congruences.join`` of the union of their masks).  It is a
     semilattice by construction, so it skips ``semilattice()``'s recheck;

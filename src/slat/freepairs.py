@@ -256,22 +256,23 @@ def evaporation_side_universe(
 
 
 def _below_avoiding(w, name) -> list:
-    """Every rank <= 1 element below w whose support avoids the name.
+    """Every rank <= 1 element below w whose support avoids the name, for w
+    zero or a node with zero projection; any other w raises DomainError.
 
     At rank <= 1 the elements below a node with zero projection are
     exactly zero and the nodes built from subsets of its own triples, so
     subset enumeration is complete at every width; the sweep re-verifies
     each candidate against the real order and cross-checks this
     characterization against a brute universe scan on sampled pairs.
-    When the projection mentions the name, only zero is listed.  That is
-    complete in the sweep, where no triple avoids delta, but not past it.
+    Every join of the sweep is in that domain; past it the subsets miss
+    elements (pair([a],[]) lies below red(pair([a,d],[]); ...)).
     """
-    if not isinstance(w, Node):
+    if w == ZERO:
         return [ZERO]
+    if not isinstance(w, Node) or w.proj != ZERO:
+        raise freedist.DomainError("not zero or a node with zero projection")
     usable = [t for t in w.triples if all(name not in support(c) for c in t)]
-    if name in support(w.proj) or not usable:
-        return [ZERO]
-    return [ZERO, *_nodes_on(w.proj, usable, len(usable))]
+    return [ZERO, *_nodes_on(ZERO, usable, len(usable))]
 
 
 def evaporation_sweep(
@@ -284,7 +285,8 @@ def evaporation_sweep(
     rank <= 1 element avoiding delta that sits below x v y.  Every
     candidate z goes through the full checker, and on a sample of about
     120 pairs, drawn from seed, the candidate set is cross-checked against
-    a brute scan of the single-triple universe under the real order.
+    a brute scan of the single-triple universe under the real order, over
+    the projections below x v y (a node lies above its projection).
     Every triple on these sides mentions delta, so each pair lists one z,
     namely 0 (checked == pairs == 24,964 at side_triples=2): at this size
     the law's content is the cross-check.
@@ -294,6 +296,10 @@ def evaporation_sweep(
     report = SweepReport(name="evaporation")
     rng = random.Random(f"{seed}:evaporation-crosscheck")
     z_univ = all_rank1({alpha, beta}, 1)
+    nodes_over = {z: [] for z in z_univ if not isinstance(z, Node)}  # grouped by projection
+    for z in z_univ:
+        if isinstance(z, Node):
+            nodes_over[z.proj].append(z)
     xs = [evaporation_side_universe(delta, alpha, 0, i, side_triples) for i in (0, 1)]
     ys = [evaporation_side_universe(delta, beta, 1, j, side_triples) for j in (0, 1)]
     walk = [(i, j, x, y) for i in (0, 1) for j in (0, 1) for x in xs[i] for y in ys[j]]
@@ -317,7 +323,8 @@ def evaporation_sweep(
         if rng.random() < sample_rate:
             cross_checks += 1
             narrow = {z for z in zs if not isinstance(z, Node) or len(z.triples) <= 1}
-            brute = {z for z in z_univ if leq(z, w)}
+            below = [p for p in nodes_over if leq(p, w)]
+            brute = {*below, *(z for p in below for z in nodes_over[p] if leq(z, w))}
             if narrow != brute:
                 cross_bad += 1
     report.notes["pairs"] = len(walk)

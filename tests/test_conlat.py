@@ -1204,6 +1204,17 @@ def test_congruences_is_built_from_masks_and_known_thetas():
             assert (new.cons, new.jmask, new.pmask) == (con.cons, con.jmask, con.pmask), name
 
 
+def test_cold_conc_leaves_pmask_unbuilt():
+    # conc reads cons, jmask and join alone; pmask is filled on first read.
+    all_congruences.cache_clear()
+    rng = random.Random(33)
+    for name, L in corpus_and_products()[-len(PRODUCT_FACTORS):]:
+        R = relabeled(L, rng)
+        conc(R)
+        assert "pmask" not in vars(R.con_index), name
+        assert_pmask_is_theta(name, R, itertools.product(range(R.size), repeat=2))
+
+
 def join_irreducibles(L):
     """The elements of L with exactly one lower cover."""
     lower = [b for _, b in covering_pairs(L)]

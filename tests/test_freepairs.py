@@ -211,10 +211,11 @@ def test_evaporation_sweep_small():
 
 
 def test_evaporation_cross_check_sample_follows_the_seed(monkeypatch):
-    # The brute scan of a sampled pair compares each element of
-    # all_rank1({a, b}, 1), in order, with the pair's join w; the sweep's
-    # own checks never pass that list's first element to leq.  So the w
-    # beside it are the sample, in the order it was drawn.
+    # The brute scan of a sampled pair compares each rank-0 element of
+    # all_rank1({a, b}, 1), in order, with the pair's join w, and then the
+    # nodes over those below w; the sweep's own checks never pass that
+    # list's first element to leq.  So the w beside it are the sample, in
+    # the order it was drawn.
     first = freepairs.all_rank1({"a", "b"}, 1)[0]
     assert first != ZERO
     sampled = []
@@ -270,18 +271,22 @@ def test_below_avoiding_lists_the_nodes_on_the_usable_triples():
     assert sizes == {2, 4}
 
 
-def test_below_avoiding_lists_zero_alone_when_the_projection_mentions_the_name():
-    # Every triple that the evaporation sweep stores mentions delta, so no
-    # triple is usable there; past that domain this early return is not
-    # complete (pair([a],[]) lies below red(pair([a,d],[]); ...)).
-    ws = [
-        w
-        for w in freepairs.all_rank1({"a", "d"}, 1)
-        if isinstance(w, Node) and "d" in support(w.proj) and _avoiding_triples(w, "d")
-    ]
-    assert len(ws) == 52
-    for w in ws:
-        assert freepairs._below_avoiding(w, "d") == [ZERO]
+def test_below_avoiding_is_complete_on_its_domain_and_refuses_the_rest():
+    # On zero and the nodes with zero projection the listing is every
+    # d-free element below w; past them subsets of w's triples miss some
+    # (pair([a],[]) lies below red(pair([a,d],[]); ...)), so w is refused.
+    univ = freepairs.all_rank1({"a", "d"}, 1)
+    d_free = [z for z in univ if "d" not in support(z)]
+    inside = {w for w in univ if w == ZERO or isinstance(w, Node) and w.proj == ZERO}
+    assert (len(univ), len(inside)) == (2554, 505)
+    for w in univ:
+        if w in inside:
+            listed = freepairs._below_avoiding(w, "d")
+            assert len(set(listed)) == len(listed) <= 2, freepairs.serialize(w)
+            assert set(listed) == {z for z in d_free if leq(z, w)}, freepairs.serialize(w)
+        else:
+            with pytest.raises(freedist.DomainError):
+                freepairs._below_avoiding(w, "d")
 
 
 def _digest(xs) -> str:
