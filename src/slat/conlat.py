@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from operator import itemgetter, ne, or_
+from operator import and_, eq, itemgetter, ne, or_
 from typing import Callable, NamedTuple
 
 from . import freedist
@@ -56,12 +56,14 @@ class Congruence:
         return self.serialize()
 
 
-def congruence_from_blockof(raw) -> Congruence:
+def _renumbered(raw) -> tuple:
+    """The labels in raw renamed 0, 1, ... in order of first occurrence."""
     seen = {}
-    out = []
-    for b in raw:
-        out.append(seen.setdefault(b, len(seen)))
-    return Congruence(tuple(out))
+    return tuple([seen.setdefault(b, len(seen)) for b in raw])
+
+
+def congruence_from_blockof(raw) -> Congruence:
+    return Congruence(_renumbered(raw))
 
 
 def congruence_from_blocks(size: int, blocks) -> Congruence:
@@ -402,87 +404,70 @@ class Congruences:
     down-sets of J(Con A) (Birkhoff), so a union of masks is a mask and a
     join runs no Python frame.
 
-    Built from ``masks``, each congruence of L to its mask, and ``known``,
-    pairs (x, y) to the mask of Θ(x, y): at least every cover, or every
-    pair when the join is not basic.  ``pmask`` is filled from the covers
-    on first read: that of a < b is the join of those of a ≺ c and c < b,
-    c the first cover of a below b (fewer above first, so c < b is known),
-    and that of x, y the join of those of x < x v y, y < x v y.
+    Built from ``pairs``, each congruence's ``block_of`` with its mask, in
+    any order.  ``pmask`` is filled on first read, from the list alone:
+    Θ(x, y) is the least congruence relating x and y, the meet of all that
+    do, so its mask is the intersection of theirs.
     """
 
-    def __init__(self, L: FinAlgebra, masks: dict, known: dict):
-        self.cons = tuple(sorted(masks, key=lambda c: c.block_of))
-        self.jmask = tuple(map(masks.__getitem__, self.cons))
+    def __init__(self, pairs):
+        blocks, self.jmask = zip(*sorted(pairs))
+        self.cons = tuple(map(Congruence, blocks))
         self.join = JoinTable(self.jmask).__getitem__
-        self.L, self.known = L, known
 
     @cached_property
     def pmask(self) -> tuple:
-        jmask, lub = self.jmask, self.join
-        n, join, up, upper = self.L.size, self.L.join, self.L.order[1], self.L.covers
-        pmask = [None] * (n * n)
-        pmask[:: n + 1] = [0] * n  # Θ(x, x) is the identity congruence
-        for (x, y), m in vars(self).pop("known").items():  # pmask holds them from here on
-            pmask[x * n + y] = pmask[y * n + x] = m
-        for a in sorted(range(n), key=lambda a: up[a].bit_count()):
-            for b in range(n):
-                if pmask[a * n + b] is None and up[a] >> b & 1:
-                    c = next(c for c in upper[a] if up[c] >> b & 1)
-                    m = jmask[lub(pmask[a * n + c] | pmask[c * n + b])]
-                    pmask[a * n + b] = pmask[b * n + a] = m
+        blocks = list(zip(*(c.block_of for c in self.cons)))  # x's block in each congruence
+        n = len(blocks)
+        pmask = [0] * (n * n)  # Θ(x, x) is the identity congruence
         for x, y in itertools.combinations(range(n), 2):
-            if pmask[x * n + y] is None:
-                s = join[x * n + y]
-                pmask[x * n + y] = pmask[y * n + x] = jmask[lub(pmask[x * n + s] | pmask[y * n + s])]
+            related = itertools.compress(self.jmask, map(eq, blocks[x], blocks[y]))
+            pmask[x * n + y] = pmask[y * n + x] = reduce(and_, related)
         return tuple(pmask)
 
     def __len__(self) -> int:
         return len(self.cons)
 
 
+CONGRUENCE_LIMIT = 10**6
+
+
+def _check_listing(count: int) -> None:
+    """A DomainError once a listing of Con A passes CONGRUENCE_LIMIT."""
+    if count > CONGRUENCE_LIMIT:
+        raise freedist.DomainError(
+            f"Con A has at least {count} congruences, more than {CONGRUENCE_LIMIT}"
+        )
+
+
 def _lattice_congruences(L: FinAlgebra) -> Congruences:
     """Con L of a lattice from Freese's dependency relation on J(L), with
     no partition closure (see ``all_congruences``)."""
-    n, join, (down, up), upper = L.size, L.join, L.order, L.covers
-    lower = [[] for _ in range(n)]  # each element's lower covers, in label order
-    for a, ups in enumerate(upper):
-        for b in ups:
-            lower[b].append(a)
-    irr = [j for j in range(n) if len(lower[j]) == 1]  # J(L); j_* is lower[j][0]
-    jbits = sum(1 << j for j in irr)
+    n, join, down = L.size, L.join, L.order[0]
+    # j is join-irreducible when the elements below it, j aside, are the
+    # down-set of one element: its lower cover j_*.
+    of_down = {d: x for x, d in enumerate(down)}
+    star = {j: of_down[d ^ 1 << j] for j, d in enumerate(down) if d ^ 1 << j in of_down}
+    jbits = sum(1 << j for j in star)
     below = {}  # k to the j with j D k (then j D* k), as a bitmask over L
-    for k in irr:
-        hits = (down[join[k * n + x]] & ~down[join[lower[k][0] * n + x]] for x in range(n))
+    for k, k_star in star.items():
+        hits = (down[join[k * n + x]] & ~down[join[k_star * n + x]] for x in range(n))
         below[k] = jbits & reduce(or_, hits)
-    for i, k in itertools.product(irr, irr):  # Warshall: i is the middle step
+    for i, k in itertools.product(star, star):  # Warshall: i is the middle step
         if below[k] >> i & 1:
             below[k] |= below[i]
     # The classes of D*, each a below-set, smaller ones first: J(Con L) in
     # a linear extension of its order, and each one's down-set mask.
     classes = sorted(set(below.values()), key=lambda s: (s.bit_count(), s))
-    where = {s: g for g, s in enumerate(classes)}
     gmask = [sum(1 << h for h, t in enumerate(classes) if t & s == t) for s in classes]
-    masks = [0]  # the down-sets of J[0..g-1], each extended by J[g] when it holds all below J[g]
-    for g, d in enumerate(gmask):
-        masks += [m | d for m in masks if d & ~m == 1 << g]
-    # Each cover a ≺ b takes the mask of (j_*, j), j minimal with j ≤ b and
-    # j ≰ a: an element with more above it comes first.
-    irr.sort(key=lambda j: -up[j].bit_count())
-    steps = []  # (b, a, g) for a ≺ b with the mask of J[g], b in a linear extension of L
-    for b in sorted(range(n), key=lambda b: down[b].bit_count()):
-        for a in lower[b]:
-            j = next(j for j in irr if (down[b] & ~down[a]) >> j & 1)
-            steps.append((b, a, where[below[j]]))
-    # A congruence class of a lattice is an interval, so an element that is
-    # not the least of its class shares it with a collapsed lower cover.
-    mask_of = {}
-    for m in masks:
-        block = list(range(n))
-        for b, a, g in steps:
-            if m >> g & 1:
-                block[b] = block[a]
-        mask_of[congruence_from_blockof(block)] = m
-    return Congruences(L, mask_of, {(a, b): gmask[g] for b, a, g in steps})
+    members = [sum(1 << j for j in star if below[j] == s) for s in classes]
+    # The down-sets of J[0..g-1], each extended by J[g] when it holds all
+    # below J[g], with the j ∈ J(L) that the congruence does not collapse.
+    downs = [(0, jbits)]
+    for g, (d, collapsed) in enumerate(zip(gmask, members)):
+        downs += [(m | d, keep & ~collapsed) for m, keep in downs if d & ~m == 1 << g]
+        _check_listing(len(downs))
+    return Congruences((_renumbered(map(keep.__and__, down)), m) for m, keep in downs)
 
 
 @lru_cache(maxsize=None)
@@ -497,9 +482,15 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     congruences efficiently", Algebra Universalis 59, 2008; R. Freese,
     J. Ježek and J. B. Nation, *Free Lattices*, AMS 1995, §2.6).  So the
     classes of D* are J(Con L), ordered by D*, and Con L, distributive by
-    Funayama–Nakayama, is every down-set of them.  A cover a ≺ b takes the
-    mask of (j_*, j), j minimal in J(L) with j ≤ b and j ≰ a: then j_* ≤ a,
-    so [j_*, j] is perspective to [a, b] and Θ(j_*, j) = Θ(a, b).
+    Funayama–Nakayama, is every down-set of them.  The congruence θ of a
+    down-set collapses j (j θ j_*) exactly when it holds j's class, and
+    b θ c exactly when the uncollapsed j below b are those below c, so
+    each partition is read off the elements' down-sets.  For let j ≤ b be
+    uncollapsed and b θ c; then x = b ∧ c has x θ b, so j ∧ x θ j, and
+    were j ≰ x, convexity would give j θ j_*, as j ∧ x ≤ j_* < j; so
+    j ≤ c.  Conversely b θ f(b), the join of the uncollapsed j ≤ b (the
+    zero when there are none), by induction on b: b is the join of the
+    j ≤ b, and a collapsed one has j θ j_* θ f(j_*) ≤ f(b), as j_* < b.
 
     Any other algebra closes the Θ of candidate pairs: when the designated
     join is a basic operation, Θ(x, y) = Θ(x, x v y) v Θ(y, x v y) and, for
@@ -511,8 +502,8 @@ def all_congruences(L: FinAlgebra) -> Congruences:
     congruence found so far.  A congruence c's mask sets each
     join-irreducible Θ(x, y) whose generating pair c relates.
 
-    With a join among the basic operations, ``pmask`` comes from the masks
-    of the covers (see ``Congruences``); otherwise from the Θ of each pair.
+    Either path stops with a DomainError once it has listed more than
+    CONGRUENCE_LIMIT congruences.
     """
     n, joined = L.size, L.join_name is not None
     meet = next((op.table for op in L.ops if op.name == L.meet_name), None)
@@ -523,15 +514,16 @@ def all_congruences(L: FinAlgebra) -> Congruences:
         pairs = [(min(a, b), max(a, b)) for a in range(n) for b in L.covers[a]]
     else:
         pairs = list(itertools.combinations(range(n), 2))
-    thetas = [theta(L, x, y) for x, y in pairs]
-    gens = dict(zip(thetas, pairs))  # one generating pair for each distinct Θ
+    gens = {theta(L, x, y): (x, y) for x, y in pairs}  # one generating pair for each distinct Θ
     found, irr = {identity_congruence(n)}, []
     for g in sorted(gens, key=lambda c: -max(c.block_of)):
         if g not in found:
             irr.append(gens[g])
             found |= {part_join(c, g) for c in found}
-    mask_of = {c: sum(1 << g for g, (x, y) in enumerate(irr) if c.relates(x, y)) for c in found}
-    return Congruences(L, mask_of, {p: mask_of[c] for p, c in zip(pairs, thetas)})
+            _check_listing(len(found))
+    return Congruences(
+        (c.block_of, sum(1 << g for g, (x, y) in enumerate(irr) if c.relates(x, y))) for c in found
+    )
 
 
 def check_congruence_compatible(L: FinAlgebra) -> bool:

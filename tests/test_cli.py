@@ -135,6 +135,20 @@ def test_con_conc(capsys, n5_file):
     assert "theta 1 2 = c3" in lines
 
 
+def test_con_conc_refuses_more_than_a_million_congruences(capsys, tmp_path):
+    # Con of an n-chain is Boolean with 2^(n-1) congruences.  chain(22)'s
+    # listing of down-sets of J(Con L) stops as it passes 10^6, before any
+    # partition is built.
+    path = tmp_path / "chain.alg"
+    path.write_text(conlat.format_algebra(corpus.chain(10)))
+    code, out, _ = run(capsys, "con", str(path), "conc")
+    assert code == 0 and out.splitlines()[0] == "conc size=512 zero=511"
+    path.write_text(conlat.format_algebra(corpus.chain(22)))
+    code, out, err = run(capsys, "con", str(path), "conc")
+    assert (code, out) == (2, "")
+    assert err == "error: Con A has at least 1048576 congruences, more than 1000000\n"
+
+
 @pytest.mark.parametrize("argv", [("theta", "5", "0"), ("quotient", "0", "7")])
 def test_con_element_out_of_range_exit_2(capsys, tmp_path, argv):
     path = tmp_path / "c3.alg"

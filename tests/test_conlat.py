@@ -998,22 +998,77 @@ def principal_closure(L):
     return tuple(sorted(found, key=lambda c: c.block_of))
 
 
+def relabeled_products():
+    """Three seeded relabelings of each con-large product: a lattice's
+    partitions are numbered by its element labels."""
+    rng = random.Random("conlat:oracle-relabelings")
+    return [
+        (f"{name}#{k}", relabeled(L, rng))
+        for name, L in corpus_and_products()[-len(PRODUCT_FACTORS):]
+        for k in range(3)
+    ]
+
+
 def test_all_congruences_matches_the_principal_closure():
-    for name, L in oracle_algebras():
+    for name, L in oracle_algebras() + relabeled_products():
         assert all_congruences(L).cons == principal_closure(L), name
     bare = [len(all_congruences(bare_chain(n))) for n in (3, 4, 5)]
     assert bare == [5, 15, 52]
     assert not is_distributive(conc(bare_chain(3)).table)
 
 
+def assert_conc_is_part_join(name, L, pairs=None):
+    """conc's table entry (i, j) against part_join, on every ordered pair
+    of indices or on those given."""
+    res = conc(L)
+    k = res.table.size
+    index = {c: i for i, c in enumerate(res.congruences)}
+    for i, j in pairs or itertools.product(range(k), repeat=2):
+        c1, c2 = res.congruences[i], res.congruences[j]
+        assert res.table.join[i * k + j] == index[part_join(c1, c2)], (name, i, j)
+
+
 def test_conc_table_is_part_join_on_every_ordered_pair():
-    for name, L in oracle_algebras():
-        res = conc(L)
-        k = res.table.size
-        index = {c: i for i, c in enumerate(res.congruences)}
-        for i, c1 in enumerate(res.congruences):
-            for j, c2 in enumerate(res.congruences):
-                assert res.table.join[i * k + j] == index[part_join(c1, c2)], name
+    for name, L in oracle_algebras() + relabeled_products():
+        assert_conc_is_part_join(name, L)
+
+
+def test_products_up_to_40_elements_match_their_factors():
+    # Every product of two corpus lattices of at least 2 and at most 40
+    # elements.  Closing Θ on every pair of the larger ones would take
+    # seconds each, so Con L and every pmask entry are checked against the
+    # factors' principal closures (Fraser-Horn), and conc's table against
+    # part_join on a seeded sample of index pairs (chain6 x chain6 has 1,024
+    # congruences).
+    named = dict(corpus.bundled_corpus())
+    rng = random.Random("conlat:products-40")
+    products = [
+        (a, b)
+        for a, b in itertools.combinations_with_replacement(named, 2)
+        if min(named[a].size, named[b].size) > 1 and named[a].size * named[b].size <= 40
+    ]
+    assert len(products) == 210
+    for a, b in products:
+        L = corpus.product(named[a], named[b])
+        assert_fraser_horn(f"{a}*{b}", L, (named[a], named[b]))
+        k = len(L.con_index)
+        pairs = [(rng.randrange(k), rng.randrange(k)) for _ in range(100)]
+        assert_conc_is_part_join(f"{a}*{b}", L, pairs)
+
+
+def test_listing_con_a_stops_past_the_limit(monkeypatch):
+    # Both paths count what they have listed: a lattice its down-sets of
+    # J(Con L), a closure the joins it has found.  Con of the 9-chain has
+    # 256 congruences, with its meet or with its join alone.
+    monkeypatch.setattr(conlat, "CONGRUENCE_LIMIT", 200)
+    ch = corpus.chain(9)
+    join_only = fin_algebra(9, [("join", 2, ch.join)], ch.join, top=8)
+    all_congruences.cache_clear()
+    for L in (ch, join_only):
+        with pytest.raises(DomainError, match="^Con A has at least 256 congruences, more than 200$"):
+            all_congruences(L)
+    monkeypatch.setattr(conlat, "CONGRUENCE_LIMIT", 256)
+    assert [len(all_congruences(L)) for L in (ch, join_only)] == [256, 256]
 
 
 def test_conc_of_a_chain_is_boolean():
@@ -1192,26 +1247,35 @@ def test_con_index_matches_the_partition_operations():
             assert_pmask_is_theta(f"{name}#{k}", R, itertools.product(range(R.size), repeat=2))
 
 
-def test_congruences_is_built_from_masks_and_known_thetas():
-    # The constructor sorts the congruences itself, and fills each pmask
-    # entry that ``known`` leaves out from the masks of the covers.
+def test_congruences_is_built_from_block_arrays_and_masks():
+    # The constructor sorts the (block_of, mask) pairs itself, and reads
+    # each pmask entry off them alone, whichever path listed them: a
+    # lattice's, a closure over the covers' Θ (a basic join), or one over
+    # every pair's Θ (no basic join).
+    rng = random.Random("conlat:congruences")
     square = [("swapped-square", swapped_square())]
-    for name, L in corpus_and_products() + join_only_algebras() + square:
-        con, n = L.con_index, L.size
-        masks = dict(zip(reversed(con.cons), reversed(con.jmask)))
-        for pairs in (covering_pairs(L), itertools.combinations(range(n), 2)):
-            new = Congruences(L, masks, {(x, y): con.pmask[x * n + y] for x, y in pairs})
-            assert (new.cons, new.jmask, new.pmask) == (con.cons, con.jmask, con.pmask), name
+    bare = [(f"bare{n}", bare_chain(n)) for n in (3, 4, 5)]
+    for name, L in corpus_and_products() + join_only_algebras() + square + bare:
+        con = L.con_index
+        pairs = [(c.block_of, m) for c, m in zip(con.cons, con.jmask)]
+        rng.shuffle(pairs)
+        new = Congruences(pairs)
+        assert (new.cons, new.jmask) == (con.cons, con.jmask), name
+        assert "pmask" not in vars(new), name
+        for x, y in itertools.product(range(L.size), repeat=2):
+            expected = new.jmask[new.cons.index(theta(L, x, y))]
+            assert new.pmask[x * L.size + y] == expected, (name, x, y)
 
 
 def test_cold_conc_leaves_pmask_unbuilt():
-    # conc reads cons, jmask and join alone; pmask is filled on first read.
+    # conc reads cons, jmask and join alone; pmask is filled on first read,
+    # and until then the memo keeps nothing else for the algebra.
     all_congruences.cache_clear()
     rng = random.Random(33)
     for name, L in corpus_and_products()[-len(PRODUCT_FACTORS):]:
         R = relabeled(L, rng)
         conc(R)
-        assert "pmask" not in vars(R.con_index), name
+        assert vars(R.con_index).keys() == {"cons", "jmask", "join"}, name
         assert_pmask_is_theta(name, R, itertools.product(range(R.size), repeat=2))
 
 
