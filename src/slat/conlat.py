@@ -465,8 +465,9 @@ def _lattice_congruences(L: FinAlgebra) -> Congruences:
     # below J[g], with the j ∈ J(L) that the congruence does not collapse.
     downs = [(0, jbits)]
     for g, (d, collapsed) in enumerate(zip(gmask, members)):
+        if 2 * len(downs) > CONGRUENCE_LIMIT:  # a step at most doubles: count it, then build it
+            _check_listing(len(downs) + sum(d & ~m == 1 << g for m, _ in downs))
         downs += [(m | d, keep & ~collapsed) for m, keep in downs if d & ~m == 1 << g]
-        _check_listing(len(downs))
     return Congruences((_renumbered(map(keep.__and__, down)), m) for m, keep in downs)
 
 

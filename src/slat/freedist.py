@@ -24,8 +24,9 @@ which joins with its mirror ``bowtie(b, a, c)`` back to ``c``; iterating
 the extension therefore forces distributivity.
 
 Joins are computed by rewriting the union of the two stored triple sets
-beside both projections, each operand read at the higher rank (a
-lower-rank operand is its own projection with no triples):
+beside both projections, each operand read at the higher rank (a node
+carries its rank, fixed when it is interned; a lower-rank operand is its
+own projection with no triples):
 
   1. ``step1``  -- find the triples in swapped pairs, in one pass;
   2. ``phi``    -- join both projections and the merged pairs' third
@@ -90,20 +91,27 @@ class Node:
 
     Building a node whose fields equal an existing one returns the
     existing object, so ``==`` is identity and the hash is the identity
-    hash inherited from ``object``.
+    hash inherited from ``object``.  ``rank`` is set once, on interning.
     """
 
     proj: Any
     triples: tuple
+    rank: int
 
     def __new__(cls, proj, triples):
         key = (proj, triples)
         n = _INTERNED.get(key)
         if n is not None:
             return n
+        r = proj.rank if isinstance(proj, Node) else 0
+        for t in triples:
+            for c in t:
+                if isinstance(c, Node) and c.rank > r:
+                    r = c.rank
         n = object.__new__(cls)
         object.__setattr__(n, "proj", proj)
         object.__setattr__(n, "triples", triples)
+        object.__setattr__(n, "rank", r + 1)
         _INTERNED[key] = n
         return n
 
@@ -116,14 +124,10 @@ class Node:
         return f"red({self.proj!r}; [{triples}])"
 
 
+# Memoized only for bench/layertrace.py's cache_info; the kernels read Node.rank.
 @lru_cache(maxsize=None)
 def rank(x) -> int:
-    if not isinstance(x, Node):
-        return 0
-    parts = [x.proj]
-    for t in x.triples:
-        parts.extend(t)
-    return 1 + max(rank(p) for p in parts)
+    return x.rank if isinstance(x, Node) else 0
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +202,8 @@ def _rewrite_join(base, x, y, rng):
 def _at_common_rank(x, y):
     # Both operands at the higher rank, as (projection, stored triples):
     # a lower-rank operand is its own projection with no triples.
-    rx, ry = rank(x), rank(y)
+    rx = x.rank if isinstance(x, Node) else 0
+    ry = y.rank if isinstance(y, Node) else 0
     px, tx = (x.proj, x.triples) if rx >= ry else (x, ())
     py, ty = (y.proj, y.triples) if ry >= rx else (y, ())
     return px, tx, py, ty

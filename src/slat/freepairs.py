@@ -271,7 +271,10 @@ def _below_avoiding(w, name) -> list:
         return [ZERO]
     if not isinstance(w, Node) or w.proj != ZERO:
         raise freedist.DomainError("not zero or a node with zero projection")
-    usable = [t for t in w.triples if all(name not in support(c) for c in t)]
+    usable = [
+        t for t in w.triples
+        if name not in support(t.u) and name not in support(t.v) and name not in support(t.w)
+    ]
     return [ZERO, *_nodes_on(ZERO, usable, len(usable))]
 
 

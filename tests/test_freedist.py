@@ -862,6 +862,62 @@ def test_deep_nesting():
     assert validate(BASE, x) == x
 
 
+def seeded_ranked_values():
+    """Seeded values until each of the ranks 0-3 has at least 10 of them."""
+    rng = random.Random("freedist:node-rank")
+    out, seen = [], collections.Counter()
+    while min(seen[r] for r in range(4)) < 10:
+        x = freepairs.random_elem(rng, ("x", "y", "z"), 3)
+        seen[helpers.lifted_rank(x)] += 1
+        out.append(x)
+    return out
+
+
+def assert_rank_is_memo_free(xs):
+    for x in xs:
+        assert getattr(x, "rank", 0) == helpers.lifted_rank(x)
+        assert rank(x) == getattr(x, "rank", 0)
+
+
+def test_node_rank_matches_the_memo_free_rank():
+    xs = seeded_ranked_values()
+    assert_rank_is_memo_free(xs)
+    assert_rank_is_memo_free([expr.deserialize(serialize(BASE, x)) for x in xs])
+    base = diamond_base()
+    assert_rank_is_memo_free(
+        [bowtie(base, 1, 2, 3), join(base, bowtie(base, 1, 2, 3), bowtie(base, 2, 1, 1))]
+    )
+    assert_rank_is_memo_free([Node(ZERO, ()), Node(Node(ZERO, ()), ())])
+
+
+def test_rebuilt_nodes_set_their_rank_on_interning(monkeypatch):
+    # With an empty intern table, copy, pickle and deserialize build every
+    # node afresh through Node.__new__, which must set its rank again.
+    xs = [x for x in seeded_ranked_values() if isinstance(x, Node)]
+    texts = [serialize(BASE, x) for x in xs]
+    for build in (
+        lambda i: copy.copy(xs[i]),
+        lambda i: copy.deepcopy(xs[i]),
+        lambda i: pickle.loads(pickle.dumps(xs[i])),
+        lambda i: expr.deserialize(texts[i]),
+    ):
+        monkeypatch.setattr(freedist, "_INTERNED", {})
+        fresh = [build(i) for i in range(len(xs))]
+        assert all(y is not x for x, y in zip(xs, fresh))
+        assert [y.rank for y in fresh] == [x.rank for x in xs]
+        assert_rank_is_memo_free(fresh)
+
+
+def test_kernel_reads_node_rank_not_the_memo():
+    fresh = [gen(i, f"rank-memo-{k}") for k in range(2) for i in range(2)]
+    x = bowtie(BASE, fresh[0], fresh[1], ONE)
+    y = bowtie(BASE, fresh[2], fresh[3], ONE)
+    before = freedist.rank.cache_info().currsize
+    z = join(BASE, x, y)
+    assert leq(BASE, x, z) and not leq(BASE, z, bowtie(BASE, x, fresh[2], x))
+    assert freedist.rank.cache_info().currsize == before
+
+
 # -- validate ----------------------------------------------------------------
 
 
@@ -1007,6 +1063,8 @@ def test_node_fields_stay_frozen():
         n.proj = ONE
     with pytest.raises(dataclasses.FrozenInstanceError):
         n.triples = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        n.rank = 2
 
 
 def test_node_repr_unchanged():
