@@ -72,9 +72,9 @@ def cmd_check_lemma44(args) -> int:
 def cmd_con(args) -> int:
     L = conlat.parse_algebra(Path(args.file).read_text())
     if args.con_cmd == "conc":
-        result, con, n = conlat.conc(L), L.con_index, L.size
-        print(f"conc size={result.table.size} zero={result.table.zero}")
-        for i, c in enumerate(result.congruences):
+        con, n = L.con_index, L.size
+        print(f"conc size={len(con)} zero={len(con) - 1}")  # the identity is last
+        for i, c in enumerate(con.cons):
             print(f"c{i} {c.serialize()}")
         for x in range(n):
             for y in range(n):

@@ -160,13 +160,14 @@ class FinAlgebra:
     def join_compatible(self) -> bool:
         """Whether every congruence is compatible with the designated join:
         true by definition when the join is a basic operation.  Otherwise the
-        principal congruences suffice: a table that respects two equivalences
-        respects their join, and every congruence is a join of principal ones."""
+        join-irreducible congruences J[g], each the join of the mask 1 << g,
+        suffice: a table that respects two equivalences respects their join,
+        and every congruence is a join of join-irreducible ones."""
         if self.join_name is not None:
             return True
         con = self.con_index
-        principal = (con.cons[con.join(m)] for m in set(con.pmask))
-        return all(is_compatible(self, c, table=self.join) for c in principal)
+        irreducible = (con.cons[con.join(1 << g)] for g in range(con.jmask[0].bit_length()))
+        return all(is_compatible(self, c, table=self.join) for c in irreducible)
 
     @cached_property
     def join_name(self) -> str | None:
@@ -373,24 +374,7 @@ def join_closure(gens, join) -> frozenset:
     return frozenset(found)
 
 
-class JoinTable(dict):
-    """Mask over J(Con A) to the index of the join of the join-irreducibles
-    it sets, seeded with jmask.  A miss (only when Con A is not distributive)
-    stores the upper bound with the fewest mask bits, which is the join: an
-    upper bound's mask holds the join's, strictly when it is another one."""
-
-    def __init__(self, jmask: tuple):
-        super().__init__(zip(jmask, range(len(jmask))))
-        self.jmask = jmask
-
-    def __missing__(self, m: int) -> int:
-        # compress, not a generator: a closure cell for m slows every miss
-        ups = itertools.compress(self.jmask, map(m.__eq__, map(m.__and__, self.jmask)))
-        i = self[m] = self[min(ups, key=int.bit_count)]
-        return i
-
-
-class Congruences:
+class Congruences(dict):
     """Con A of one algebra: every congruence, sorted by ``block_of``, and
     each one as a bitmask over J(Con A), the join-irreducible congruences.
 
@@ -398,22 +382,33 @@ class Congruences:
     is the join of the join-irreducibles below it, so distinct congruences
     have distinct masks, a ≤ b exactly when jmask[a] is a subset of
     jmask[b], and jmask[a] & jmask[b] is the mask of a ∧ b; the identity
-    congruence is last.  ``join`` is the ``__getitem__`` of a JoinTable,
-    and ``pmask[x * n + y]`` is the mask of Θ(x, y).  When Con A is
-    distributive, as it is for every lattice, the masks are exactly the
-    down-sets of J(Con A) (Birkhoff), so a union of masks is a mask and a
-    join runs no Python frame.
+    congruence is last.  As a dict it maps a mask to the index of the join
+    of the join-irreducibles it sets, and ``join`` is its lookup.  Seeded
+    with jmask, it holds every union when Con A is distributive, as for
+    every lattice (the masks are the down-sets of J(Con A), Birkhoff), so
+    a join runs no Python frame.  A miss stores the upper bound with the
+    fewest mask bits, which is the join: an upper bound's mask holds the
+    join's, strictly when it is another one.
 
     Built from ``pairs``, each congruence's ``block_of`` with its mask, in
-    any order.  ``pmask`` is filled on first read, from the list alone:
-    Θ(x, y) is the least congruence relating x and y, the meet of all that
-    do, so its mask is the intersection of theirs.
+    any order.  ``pmask[x * n + y]``, the mask of Θ(x, y), is filled on
+    first read, from the list alone: Θ(x, y) is the least congruence
+    relating x and y, the meet of all that do, so its mask is the
+    intersection of theirs.
     """
+
+    join = dict.__getitem__
 
     def __init__(self, pairs):
         blocks, self.jmask = zip(*sorted(pairs))
         self.cons = tuple(map(Congruence, blocks))
-        self.join = JoinTable(self.jmask).__getitem__
+        super().__init__(zip(self.jmask, range(len(blocks))))
+
+    def __missing__(self, m: int) -> int:
+        # compress, not a generator: a closure cell for m slows every miss
+        ups = itertools.compress(self.jmask, map(m.__eq__, map(m.__and__, self.jmask)))
+        i = self[m] = self[min(ups, key=int.bit_count)]
+        return i
 
     @cached_property
     def pmask(self) -> tuple:
@@ -430,6 +425,7 @@ class Congruences:
 
 
 CONGRUENCE_LIMIT = 10**6
+CONC_TABLE_LIMIT = 2**26  # entries in conc's table: |Con A|² of chain(14)
 
 
 def _check_listing(count: int) -> None:
@@ -561,9 +557,12 @@ def conc(L: FinAlgebra) -> ConcResult:
     Entry (a, b) of the table is the join of the join-irreducibles below a
     or b (``Congruences.join`` of the union of their masks).  It is a
     semilattice by construction, so it skips ``semilattice()``'s recheck;
-    its zero is the identity congruence, last.
+    its zero is the identity congruence, last.  A table of more than
+    CONC_TABLE_LIMIT entries is refused with a DomainError before it is built.
     """
     con = L.con_index
+    if (size := len(con) ** 2) > CONC_TABLE_LIMIT:
+        raise freedist.DomainError(f"conc table has {size} entries, more than {CONC_TABLE_LIMIT}")
     rows = (map(con.join, map(mb.__or__, con.jmask)) for mb in con.jmask)
     table = tuple(itertools.chain.from_iterable(rows))
     S = FinAlgebra(len(con), (Operation("join", 2, table),), table)

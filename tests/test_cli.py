@@ -149,6 +149,21 @@ def test_con_conc_refuses_more_than_a_million_congruences(capsys, tmp_path):
     assert err == "error: Con A has at least 1048576 congruences, more than 1000000\n"
 
 
+def test_readers_of_conc_refuse_a_table_past_the_limit(capsys, tmp_path, monkeypatch):
+    # `wd` and `suite --corpus` build conc's table and exit 2 past its
+    # limit; `con FILE conc` reads Con A alone and still prints it.
+    monkeypatch.setattr(conlat, "CONC_TABLE_LIMIT", 255**2)
+    path, mu = tmp_path / "chain9.alg", tmp_path / "mu.sem"
+    path.write_text(conlat.format_algebra(corpus.chain(9)))
+    mu.write_text("sem 1\njoin 0\nzero 0\nmap 0 0\n")
+    message = "error: conc table has 65536 entries, more than 65025\n"
+    wd = ("con", str(path), "wd", str(mu))
+    for argv in (wd, ("suite", "--only", "funayama", "--corpus", str(tmp_path))):
+        assert run(capsys, *argv) == (2, "", message), argv
+    code, out, _ = run(capsys, "con", str(path), "conc")
+    assert code == 0 and out.splitlines()[0] == "conc size=256 zero=255"
+
+
 @pytest.mark.parametrize("argv", [("theta", "5", "0"), ("quotient", "0", "7")])
 def test_con_element_out_of_range_exit_2(capsys, tmp_path, argv):
     path = tmp_path / "c3.alg"

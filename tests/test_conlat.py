@@ -13,7 +13,6 @@ from slat.conlat import (
     Congruences,
     FinAlgebra,
     FormatError,
-    JoinTable,
     SemHom,
     all_congruences,
     all_partitions,
@@ -59,6 +58,13 @@ def test_congruence_canonical_form():
     assert c.block_of == (0, 0, 1, 1)
     assert c.blocks() == ((0, 1), (2, 3))
     assert c.serialize() == "{{0,1},{2,3}}"
+
+
+def test_congruence_from_blocks_needs_a_partition():
+    with pytest.raises(ValueError, match="^element 1 in two blocks$"):
+        congruence_from_blocks(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="^blocks do not cover the carrier$"):
+        congruence_from_blocks(3, [(0, 1)])
 
 
 def test_partition_lattice_ops():
@@ -529,6 +535,8 @@ def test_sem_hom_validation():
     assert mu.image == (0, 4)
     with pytest.raises(ValueError):
         sem_hom(two, m3, [1, 4])  # zero not preserved
+    with pytest.raises(ValueError, match="^image array has wrong length$"):
+        sem_hom(two, two, [0])
 
 
 def test_sem_hom_and_all_sem_homs_name_a_missing_zero():
@@ -731,8 +739,10 @@ def test_permutability_past_the_carrier_size():
 
 
 def test_compatibility_of_the_principal_congruences_decides():
-    # With the designated join not a basic operation, only the principal
-    # congruences are tested; every congruence is a join of them.
+    # With the designated join not a basic operation, only the
+    # join-irreducible congruences are tested; every congruence is a join of
+    # them, and the principal ones, in pmask, are not read.
+    all_congruences.cache_clear()
     algebras = [(f"bare{n}", bare_chain(n)) for n in range(1, 6)]
     algebras += [
         (f"{name}-meet", fin_algebra(L.size, [("meet", 2, L.ops[0].table)], L.join, top=L.top))
@@ -744,8 +754,27 @@ def test_compatibility_of_the_principal_congruences_decides():
         assert L.join_name is None, name
         full = all(is_compatible(L, c, table=L.join) for c in L.con_index.cons)
         assert check_congruence_compatible(L) == full, name
+        assert "pmask" not in vars(L.con_index), name
         verdicts.add(full)
     assert verdicts == {True, False}
+
+
+def test_join_compatible_checks_each_join_irreducible_congruence_once(monkeypatch):
+    # The congruences that are not the join of those strictly below them.
+    checked = []
+    monkeypatch.setattr(conlat, "is_compatible", lambda L, c, table: checked.append(c) or True)
+    algebras = [bare_chain(n) for n in range(1, 6)] + [
+        fin_algebra(L.size, [("meet", 2, L.ops[0].table)], L.join, top=L.top)
+        for _, L in corpus.bundled_corpus()
+    ]
+    for L in algebras:
+        checked.clear()
+        assert L.join_compatible
+        cons = L.con_index.cons
+        below = [[d for d in cons if d != c and refines(d, c)] for c in cons]
+        joins = [functools.reduce(part_join, b, identity_congruence(L.size)) for b in below]
+        irreducible = [c.block_of for c, j in zip(cons, joins) if c != j]
+        assert sorted(c.block_of for c in checked) == sorted(irreducible), format_algebra(L)
 
 
 def test_readers_of_con_a_read_its_masks(monkeypatch):
@@ -1071,6 +1100,18 @@ def test_listing_con_a_stops_past_the_limit(monkeypatch):
     assert [len(all_congruences(L)) for L in (ch, join_only)] == [256, 256]
 
 
+def test_conc_refuses_a_table_past_the_limit(monkeypatch):
+    # conc counts its |Con A|² entries before it builds a row.  The limit is
+    # chain(14)'s table, 2^13 congruences squared; chain(9)'s has 256².
+    assert conlat.CONC_TABLE_LIMIT == len(all_congruences(corpus.chain(14))) ** 2
+    L = corpus.chain(9)
+    monkeypatch.setattr(conlat, "CONC_TABLE_LIMIT", 256**2 - 1)
+    with pytest.raises(DomainError, match="^conc table has 65536 entries, more than 65535$"):
+        conc(L)
+    monkeypatch.setattr(conlat, "CONC_TABLE_LIMIT", 256**2)
+    assert conc(L).table.size == 256
+
+
 def test_conc_of_a_chain_is_boolean():
     # Con of an n-chain is 2^(n-1), its atoms the n - 1 covering pairs
     for n in (8, 9, 10):
@@ -1105,6 +1146,25 @@ def test_conc_output_matches_golden(capsys, tmp_path):
     assert "".join(out) == CONC_GOLDEN.read_text()
 
 
+def test_conc_command_on_the_closure_path(capsys, tmp_path):
+    # conc_corpus.txt holds lattices alone.  On the algebras whose Con A is
+    # closed from Θ, the command, which reads L.con_index, prints the size,
+    # zero and congruences of conc's table, and one Θ line for each pair.
+    path = tmp_path / "algebra.alg"
+    algebras = unary_algebras() + [("noncommutative", noncommutative_algebra())]
+    algebras += join_only_algebras() + [("swapped-square", swapped_square())]
+    algebras += [(f"bare{n}", bare_chain(n)) for n in range(1, 6)]
+    for name, L in algebras:
+        path.write_text(format_algebra(L))
+        assert main(["con", str(path), "conc"]) == 0, name
+        lines = capsys.readouterr().out.splitlines()
+        res = conc(L)
+        expected = [f"conc size={res.table.size} zero={res.table.zero}"]
+        expected += [f"c{i} {c.serialize()}" for i, c in enumerate(res.congruences)]
+        assert lines[: len(expected)] == expected, name
+        assert len(lines) == len(expected) + L.size**2, name
+
+
 # -- the congruence index and erosion against their partition oracles --------
 
 
@@ -1124,13 +1184,14 @@ def test_join_only_algebras_include_nondistributive_con():
     flat = [name for name, L in algebras if not is_distributive(conc(L).table)]
     assert len(algebras) == 21 and len(flat) == 15
     # Con A is a lattice of sets exactly when its masks are closed under
-    # union, so the join table misses on every algebra whose Con A is not
-    # distributive, and on those alone.  Each union it misses on is kept,
-    # beside the masks it was seeded with.
+    # union, so a fresh Congruences misses on every algebra whose Con A is
+    # not distributive, and on those alone.  Each union it misses on is
+    # kept, beside the masks it was seeded with.
     square = [("swapped-square", swapped_square())]
     for name, L in corpus_and_products() + algebras + square:
         con = L.con_index
-        table, masks = JoinTable(con.jmask), set(con.jmask)
+        table = Congruences(zip((c.block_of for c in con.cons), con.jmask))
+        masks = set(con.jmask)
         unions = {ma | mb for ma in con.jmask for mb in con.jmask}
         assert is_distributive(conc(L).table) == (unions <= masks), name
         assert all(table[m] == con.join(m) for m in unions), name
@@ -1268,14 +1329,13 @@ def test_congruences_is_built_from_block_arrays_and_masks():
 
 
 def test_cold_conc_leaves_pmask_unbuilt():
-    # conc reads cons, jmask and join alone; pmask is filled on first read,
-    # and until then the memo keeps nothing else for the algebra.
+    # conc reads cons, jmask and join alone; pmask is filled on first read.
     all_congruences.cache_clear()
     rng = random.Random(33)
     for name, L in corpus_and_products()[-len(PRODUCT_FACTORS):]:
         R = relabeled(L, rng)
         conc(R)
-        assert vars(R.con_index).keys() == {"cons", "jmask", "join"}, name
+        assert "pmask" not in vars(R.con_index), name
         assert_pmask_is_theta(name, R, itertools.product(range(R.size), repeat=2))
 
 

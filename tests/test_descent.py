@@ -8,6 +8,7 @@ from slat.conlat import FormatError
 from slat.descent import (
     FIXTURE,
     MUTATIONS,
+    Mutation,
     check_er,
     check_p,
     fixture,
@@ -220,6 +221,9 @@ def test_mutations_all_detected():
 def test_mutation_targets_are_single_fault():
     for mut in MUTATIONS:
         assert FIXTURE.count(mut.old) == 1 or mut.old.endswith("\n")
+    absent = Mutation("absent", "no such line", "", "validate")
+    with pytest.raises(ValueError, match="^mutation absent: ambiguous target$"):
+        absent.apply(FIXTURE)
 
 
 def test_check_p_reports_witnessing_instance():

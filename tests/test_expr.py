@@ -99,3 +99,9 @@ def test_deserialize_rejects_invalid_forms():
 def test_render_roundtrip():
     for text in ("0", "1", "a0(x)", "join(a0(x),a1(y))", "bowtie(0,1,1)"):
         assert expr.render(parse(text)) == text
+
+
+def test_evaluate_and_render_refuse_a_non_expression():
+    for fn in (expr.evaluate, expr.render):
+        with pytest.raises(TypeError, match="^not an expression: 3$"):
+            fn(3)

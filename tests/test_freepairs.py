@@ -165,6 +165,8 @@ def test_cancellation_sweep_small():
     assert rep.ok
     assert rep.substantive >= 50
     assert rep.checked == rep.premise_failed + rep.substantive
+    with pytest.raises(ValueError, match="^alpha must be fresh$"):
+        freepairs.cancellation_sweep("a", "a")
 
 
 # -- evaporation -------------------------------------------------------------
@@ -206,6 +208,8 @@ def test_evaporation_substantive_instance():
 def test_evaporation_sweep_small():
     rep = freepairs.evaporation_sweep("a", "b", "d", side_triples=1)
     assert rep.ok
+    with pytest.raises(ValueError, match="^alpha, beta, delta must be distinct$"):
+        freepairs.evaporation_sweep("a", "a", "d")
     assert rep.notes["nonzero_pairs"] >= 1
     assert rep.notes["cross_bad"] == 0
 

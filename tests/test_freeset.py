@@ -53,6 +53,8 @@ def test_is_free_argument_validation():
         is_free(("0",), phi)
     with pytest.raises(ValueError):
         is_free(("0", "9"), phi)
+    with pytest.raises(ValueError, match="^argument must have 1 elements$"):
+        phi.image(("0", "1"))
 
 
 def test_parse_images():

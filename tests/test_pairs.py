@@ -133,6 +133,8 @@ def test_retract_examples():
     assert retract("a", 1, gen(0, "a")) == TOP
     p = pairs.PairElem(frozenset("x"), frozenset("y"))
     assert retract("a", 0, p) == p
+    with pytest.raises(ValueError, match="^polarity must be 0 or 1, got 2$"):
+        retract("a", 2, ZERO)
 
 
 def test_retract_idempotent_and_homomorphism():

@@ -97,6 +97,8 @@ def test_oracles(monkeypatch):
     lattices = [("chain2", corpus.chain(2))]
     pairs, theta_bad, homs, points, wd_bad = suite.oracles(lattices)
     assert (pairs, theta_bad, wd_bad) == (4, 0, 0) and homs > 0 and points > 0
+    # theta is checked on lattices of at most 6 elements only
+    assert suite.oracles([("chain7", corpus.chain(7))])[:2] == (0, 0)
     # a wrong theta: every principal congruence is the identity
     monkeypatch.setattr(
         conlat, "theta", lambda L, x, y: conlat.identity_congruence(L.size)
