@@ -13,7 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-from . import conlat, descent, expr, freepairs, freeset, suite
+# The other commands import their modules when they run, so that a process
+# compiles and builds only what it uses; expr and freepairs serve most of them.
+from . import expr, freepairs
 
 
 def cmd_eval(args) -> int:
@@ -70,6 +72,7 @@ def cmd_check_lemma44(args) -> int:
 
 
 def cmd_con(args) -> int:
+    from . import conlat
     L = conlat.parse_algebra(Path(args.file).read_text())
     if args.con_cmd == "conc":
         con, n = L.con_index, L.size
@@ -87,17 +90,8 @@ def cmd_con(args) -> int:
         res = conlat.erosion(L, args.x0, args.x1, args.z)
         print(f"u0 {res.u0.serialize()}")
         print(f"u1 {res.u1.serialize()}")
-        print(
-            "erosion congruent=%s bounded0=%s bounded1=%s "
-            "member0=%s member1=%s"
-            % (
-                str(res.congruent).lower(),
-                str(res.bounded[0]).lower(),
-                str(res.bounded[1]).lower(),
-                str(res.member[0]).lower(),
-                str(res.member[1]).lower(),
-            )
-        )
+        flags = [str(f).lower() for f in (res.congruent, *res.bounded, *res.member)]
+        print("erosion congruent=%s bounded0=%s bounded1=%s member0=%s member1=%s" % tuple(flags))
         return 0 if res.ok else 1
     if args.con_cmd == "perm":
         ok = conlat.permutability(L, args.m)
@@ -110,7 +104,8 @@ def cmd_con(args) -> int:
             print(f"proj {x} -> {b}")
         return 0
     if args.con_cmd == "wd":
-        mu = conlat.parse_semhom(Path(args.mufile).read_text(), conlat.conc(L).table)
+        text = Path(args.mufile).read_text()
+        mu = conlat.parse_semhom(text, len(L.con_index), lambda: conlat.conc(L).table)
         all_ok = True
         for x in range(mu.dom.size):
             ok = conlat.weakly_distributive_at(mu, x)
@@ -122,6 +117,7 @@ def cmd_con(args) -> int:
 
 
 def cmd_freeset(args) -> int:
+    from . import freeset
     phi = freeset.parse_phi(Path(args.file).read_text())
     found = freeset.find_free(phi)
     if found is None:
@@ -144,10 +140,12 @@ def _parse_name_set(text: str) -> frozenset:
     names = text.split(",")
     if "" in names:
         raise ValueError(f"empty name in {text!r}")
-    return frozenset(conlat.distinct_names(names))
+    from .conlat import distinct_names
+    return frozenset(distinct_names(names))
 
 
 def cmd_descent(args) -> int:
+    from . import descent
     D = descent.parse_instance(Path(args.file).read_text())
     if args.descent_cmd == "validate":
         rep = descent.validate_instance(D)
@@ -174,6 +172,7 @@ def cmd_descent(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from . import suite
     for flag, value, least in (
         ("--cases", args.cases, 1),
         ("--max-rank", args.max_rank, 0),

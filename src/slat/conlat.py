@@ -30,8 +30,7 @@ class FormatError(ValueError):
 # Partitions
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(NamedTuple):
     block_of: tuple
 
     @property
@@ -589,8 +588,7 @@ def is_distributive(S: FinAlgebra) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SemHom:
+class SemHom(NamedTuple):
     dom: FinAlgebra
     cod: FinAlgebra
     image: tuple
@@ -889,10 +887,12 @@ def parse_algebra(text: str) -> FinAlgebra:
     return read_algebra(read_directives(text, ALGEBRA_DIRECTIVES))
 
 
-def parse_semhom(text: str, dom: FinAlgebra) -> SemHom:
-    """Parse a map from dom into a semilattice given by ``sem <k>``,
-    ``join <table>`` and ``zero <idx>``, with one ``map <x> <image>`` line
-    for each element x of dom."""
+def parse_semhom(text: str, dom_size: int, build_dom: Callable[[], FinAlgebra]) -> SemHom:
+    """Parse a map from the domain of ``dom_size`` elements into a semilattice
+    given by ``sem <k>``, ``join <table>`` and ``zero <idx>``, with one
+    ``map <x> <image>`` line for each x in 0..dom_size-1.  The domain is
+    ``build_dom()``, called once the file has passed every check that needs
+    only its size: a bad file is refused before a costly domain is built."""
     size, join, zero, image = read_directives(
         text,
         {
@@ -905,10 +905,11 @@ def parse_semhom(text: str, dom: FinAlgebra) -> SemHom:
     if None in (size, join, zero):
         raise FormatError("map file needs sem/join/zero lines")
     cod = semilattice(size, join, zero)
-    if sorted(image) != list(range(dom.size)):
-        raise FormatError(f"map lines must cover domain indices 0..{dom.size - 1}")
+    if sorted(image) != list(range(dom_size)):
+        raise FormatError(f"map lines must cover domain indices 0..{dom_size - 1}")
+    dom = build_dom()
     try:
-        return sem_hom(dom, cod, [image[i] for i in range(dom.size)])
+        return sem_hom(dom, cod, [image[i] for i in range(dom_size)])
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

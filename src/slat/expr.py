@@ -11,7 +11,7 @@ Identifiers match [A-Za-z0-9_]+.  Parse errors carry line and column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import freedist, freepairs, pairs
 
@@ -99,24 +99,20 @@ def parse_name(text: str) -> str:
 # Expression AST
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class GenExpr:
+class GenExpr(NamedTuple):
     i: int
     name: str
 
 
-@dataclass(frozen=True)
-class JoinExpr:
+class JoinExpr(NamedTuple):
     args: tuple
 
 
-@dataclass(frozen=True)
-class BowtieExpr:
+class BowtieExpr(NamedTuple):
     a: object
     b: object
     c: object

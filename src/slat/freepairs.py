@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from . import freedist, pairs
 from .freedist import Node, Triple
@@ -82,8 +83,7 @@ class Outcome(Enum):
     COUNTEREXAMPLE = "counterexample"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     outcome: Outcome
     failed_premises: tuple = ()
 

@@ -150,18 +150,38 @@ def test_con_conc_refuses_more_than_a_million_congruences(capsys, tmp_path):
 
 
 def test_readers_of_conc_refuse_a_table_past_the_limit(capsys, tmp_path, monkeypatch):
-    # `wd` and `suite --corpus` build conc's table and exit 2 past its
-    # limit; `con FILE conc` reads Con A alone and still prints it.
+    # `wd` (given a map that covers all 256 congruences) and `suite --corpus`
+    # build conc's table and exit 2 past its limit; `con FILE conc` reads
+    # Con A alone and still prints it.
     monkeypatch.setattr(conlat, "CONC_TABLE_LIMIT", 255**2)
     path, mu = tmp_path / "chain9.alg", tmp_path / "mu.sem"
     path.write_text(conlat.format_algebra(corpus.chain(9)))
-    mu.write_text("sem 1\njoin 0\nzero 0\nmap 0 0\n")
+    mu.write_text("sem 1\njoin 0\nzero 0\n" + "".join(f"map {i} 0\n" for i in range(256)))
     message = "error: conc table has 65536 entries, more than 65025\n"
     wd = ("con", str(path), "wd", str(mu))
     for argv in (wd, ("suite", "--only", "funayama", "--corpus", str(tmp_path))):
         assert run(capsys, *argv) == (2, "", message), argv
     code, out, _ = run(capsys, "con", str(path), "conc")
     assert code == 0 and out.splitlines()[0] == "conc size=256 zero=255"
+
+
+def test_wd_checks_the_map_file_before_building_conc(capsys, tmp_path, monkeypatch):
+    # On chain(14) conc's table has 2^26 entries (seconds and about 600 MB);
+    # a map file that is malformed or misses a domain index is refused from
+    # |Con L| = 8192 alone.
+    def no_conc(L):
+        raise AssertionError("conc built before the map file was checked")
+
+    monkeypatch.setattr(conlat, "conc", no_conc)
+    path, mu = tmp_path / "chain14.alg", tmp_path / "mu.sem"
+    path.write_text(conlat.format_algebra(corpus.chain(14)))
+    for text, message in (
+        ("sem 1\njoin 0\nzero 0\nmap 0 0\n", "map lines must cover domain indices 0..8191"),
+        ("sem 2\njoin 0 1 1 1\nzero 1\nmap 0 0\n", "zero not neutral"),
+        ("sem 1\njoin 0\nmap 0 0\n", "map file needs sem/join/zero lines"),
+    ):
+        mu.write_text(text)
+        assert run(capsys, "con", str(path), "wd", str(mu)) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [("theta", "5", "0"), ("quotient", "0", "7")])
@@ -728,3 +748,54 @@ def test_mutated_files_exit_0_1_or_2(tmp_path):
                     codes[code] = codes.get(code, 0) + 1
                 path.write_text(text)
     assert set(codes) == {0, 1, 2}, codes
+
+
+# -- start-up ----------------------------------------------------------------
+#
+# The tests above run after other tests have imported every slat module, so
+# they never see a command's first import; these start a fresh interpreter.
+
+
+def slat_modules_after(code: str) -> list:
+    """The slat modules a fresh interpreter has loaded once it has run code."""
+    report = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'slat'), file=sys.stderr)"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\n{report}"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.split()
+
+
+def test_library_import_leaves_descent_and_freeset_unloaded():
+    loaded = slat_modules_after("from slat import conlat, corpus, expr, freedist, freepairs, pairs, suite")
+    assert "slat.suite" in loaded
+    assert "slat.descent" not in loaded and "slat.freeset" not in loaded
+
+
+def test_eval_loads_only_the_expression_modules():
+    loaded = slat_modules_after('from slat import cli\ncli.main(["eval", "join(a0(x),a1(x))"])')
+    assert loaded == ["slat", "slat.cli", "slat.expr", "slat.freedist", "slat.freepairs", "slat.pairs"]
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("con", "{file}", "conc"), "alg 2\njoin 0 1 1\n", "join table needs 4 entries"),
+        (("freeset", "{file}"), "ground 0 0\narity 1\n", "line 1: name '0' listed twice"),
+        (("descent", "{file}", "validate"), "nonsense\n", "line 1: unknown directive 'nonsense'"),
+        (
+            ("suite", "--only", "funayama", "--corpus", "{dir}"),
+            "alg 2\njoin 0 1 1\n",
+            "bad.alg: join table needs 4 entries",
+        ),
+    ],
+    ids=["con", "freeset", "descent", "suite-corpus"],
+)
+def test_first_use_of_each_lazily_imported_command_exits_2(tmp_path, argv, text, message):
+    # each command imports its modules when it runs: a bad file given to a
+    # fresh process must still give the one-line message, not a traceback
+    (tmp_path / "bad.alg").write_text(text)
+    paths = {"file": tmp_path / "bad.alg", "dir": tmp_path}
+    cmd = [sys.executable, "-m", "slat.cli", *(arg.format(**paths) for arg in argv)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")

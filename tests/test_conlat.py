@@ -970,21 +970,21 @@ def test_parse_semhom():
     dom = conc(corpus.chain(2)).table
     cod = "sem 2\njoin 0 1 1 1\nzero 0\n"
     # dom lists the full congruence first, so its zero is element 1
-    mu = parse_semhom(cod + "map 0 1\nmap 1 0\n", dom)
+    mu = parse_semhom(cod + "map 0 1\nmap 1 0\n", dom.size, lambda: dom)
     assert mu.image == (1, 0)
     with pytest.raises(FormatError, match="^line 4: map takes 2 arguments, got 3"):
-        parse_semhom(cod + "map 0 1 5\nmap 1 0\n", dom)
+        parse_semhom(cod + "map 0 1 5\nmap 1 0\n", dom.size, lambda: dom)
     with pytest.raises(FormatError, match="^line 2: unknown directive 'joins'"):
-        parse_semhom("sem 2\njoins 0 1 1 1\n", dom)
+        parse_semhom("sem 2\njoins 0 1 1 1\n", dom.size, lambda: dom)
     with pytest.raises(FormatError, match="sem/join/zero"):
-        parse_semhom("sem 2\nmap 0 0\n", dom)
+        parse_semhom("sem 2\nmap 0 0\n", dom.size, lambda: dom)
     for first, again in enumerate(("sem 2", "join 0 1 1 1", "zero 0"), start=1):
         name = again.split()[0]
         message = f"^line 4: {name} defined twice, first on line {first}"
         with pytest.raises(FormatError, match=message):
-            parse_semhom(cod + again + "\nmap 0 1\nmap 1 0\n", dom)
+            parse_semhom(cod + again + "\nmap 0 1\nmap 1 0\n", dom.size, lambda: dom)
     with pytest.raises(FormatError, match="^line 5: map 0 defined twice"):
-        parse_semhom(cod + "map 0 1\nmap 0 0\nmap 1 0\n", dom)
+        parse_semhom(cod + "map 0 1\nmap 0 0\nmap 1 0\n", dom.size, lambda: dom)
 
 
 def test_join_closure():
