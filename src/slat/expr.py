@@ -1,11 +1,14 @@
 """Surface syntax for elements of the generated semilattice.
 
-Two grammars share one tokenizer:
+Two grammars:
 
   * expressions  --  0 | 1 | a0(ID) | a1(ID) | join(E,E[,...]) | bowtie(E,E,E)
   * canonical values  --  top | pair([ID,...],[ID,...]) | red(V; [(V,V,V), ...])
 
-Identifiers match [A-Za-z0-9_]+.  Parse errors carry line and column.
+Identifiers match [A-Za-z0-9_]+, and whitespace may appear between tokens.
+A value's text is the one ``serialize`` writes: the names in each list of a
+pair strictly increase, and triples appear in canonical order.  Parse errors
+carry line and column.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+|[();,\[\]]")
+# Values also read a whitespace-free pair with well-formed name lists as one
+# atom token; any other pair is read in the tokens of _TOKEN.
+_NAMES = r"(?:[A-Za-z0-9_]+(?:,[A-Za-z0-9_]+)*)?"
+_VALUE_TOKEN = re.compile(rf"pair\(\[{_NAMES}\],\[{_NAMES}\]\)|{_TOKEN.pattern}")
 _INVALID = re.compile(r"[^A-Za-z0-9_();,\[\]\s]")
 # Tokens that are not identifiers; "" marks the end of input.
 _NOT_IDENT = frozenset("();,[]") | {""}
@@ -34,28 +41,39 @@ def _position(text: str, offset: int) -> tuple:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def _shown(tok: str) -> str:
+    """A token as error messages name it: an atom by its leading 'pair'."""
+    return "pair" if tok.startswith("pair(") else tok or "end of input"
+
+
 class _Cursor:
     """Token strings of one regex pass; positions are found only for errors."""
 
-    def __init__(self, text):
+    def __init__(self, text, token=_TOKEN):
         bad = _INVALID.search(text)
         if bad:
             raise ParseError(
                 f"unexpected character {bad.group()!r}", *_position(text, bad.start())
             )
         self.text = text
-        self.tokens = _TOKEN.findall(text)
+        self.token = token
+        self.tokens = token.findall(text)
         self.tokens.append("")
         self.pos = 0
 
     def error(self, message: str, index: int) -> ParseError:
         """A ParseError at the start of token number index."""
         offset = len(self.text)
-        for k, match in enumerate(_TOKEN.finditer(self.text)):
+        for k, match in enumerate(self.token.finditer(self.text)):
             if k == index:
                 offset = match.start()
                 break
         return ParseError(message, *_position(self.text, offset))
+
+    def expected(self, text: str, index: int) -> ParseError:
+        """The ParseError for token number index not being text."""
+        shown = _shown(self.tokens[index])
+        return self.error(f"expected {text!r}, found {shown!r}", index)
 
     def peek(self) -> str:
         return self.tokens[self.pos]
@@ -66,10 +84,8 @@ class _Cursor:
         return tok
 
     def expect(self, text: str):
-        tok = self.tokens[self.pos]
-        if tok != text:
-            shown = tok or "end of input"
-            raise self.error(f"expected {text!r}, found {shown!r}", self.pos)
+        if self.tokens[self.pos] != text:
+            raise self.expected(text, self.pos)
         self.pos += 1
 
     def name(self) -> str:
@@ -81,7 +97,7 @@ class _Cursor:
     def done(self):
         tok = self.peek()
         if tok:
-            raise self.error(f"trailing input {tok!r}", self.pos)
+            raise self.error(f"trailing input {_shown(tok)!r}", self.pos)
 
 
 def parse_name(text: str) -> str:
@@ -211,60 +227,81 @@ def serialize(v) -> str:
 
 def deserialize(text: str):
     """Parse a canonical value back; the result is validated."""
-    cur = _Cursor(text)
-    v = _parse_value(cur)
+    cur = _Cursor(text, _VALUE_TOKEN)
+    v, i = _read_value(cur, 0, {"top": pairs.TOP})
+    cur.pos = i
     cur.done()
     return freepairs.validate(v)
 
 
-def _parse_value(cur: _Cursor):
-    at = cur.pos
-    tok = cur.next()
-    if tok == "top":
-        return pairs.TOP
+def _read_value(cur: _Cursor, i: int, atoms: dict):
+    """The value at token i and the index after it; atoms maps ``top`` and
+    each atom token already read in this call to its value."""
+    toks = cur.tokens
+    tok = toks[i]
+    v = atoms.get(tok)
+    if v is not None:
+        return v, i + 1
+    if tok.startswith("pair("):
+        pos, neg = (s.split(",") if s else [] for s in tok[6:-2].split("],["))
+        v = atoms[tok] = _pair(cur, i, pos, neg)
+        return v, i + 1
     if tok == "pair":
-        cur.expect("(")
-        pos = _parse_name_list(cur)
-        cur.expect(",")
-        neg = _parse_name_list(cur)
-        cur.expect(")")
-        try:
-            return pairs.PairElem(frozenset(pos), frozenset(neg))
-        except ValueError as exc:
-            raise cur.error(str(exc), at) from None
-    if tok == "red":
-        cur.expect("(")
-        projection = _parse_value(cur)
-        cur.expect(";")
+        return _read_pair(cur, i)
+    if tok != "red":
+        raise cur.error(f"expected a value, found {_shown(tok)!r}", i)
+    if toks[i + 1] != "(":
+        raise cur.expected("(", i + 1)
+    projection, i = _read_value(cur, i + 2, atoms)
+    for k, want in enumerate(";["):
+        if toks[i + k] != want:
+            raise cur.expected(want, i + k)
+    i += 2
+    triples = []
+    while True:
+        triple = []
+        for before in "(,,":
+            if toks[i] != before:
+                raise cur.expected(before, i)
+            v, i = _read_value(cur, i + 1, atoms)
+            triple.append(v)
+        if toks[i] != ")":
+            raise cur.expected(")", i)
+        triples.append(freedist.Triple(*triple))
+        i += 1
+        if toks[i] != ",":
+            break
+        i += 1
+    for k, want in enumerate("])"):
+        if toks[i + k] != want:
+            raise cur.expected(want, i + k)
+    return freedist.Node(projection, tuple(triples)), i + 2
+
+
+def _read_pair(cur: _Cursor, i: int):
+    """The pair at token i read token by token, and the index after it: one
+    with whitespace inside, or a malformed one whose first fault this names."""
+    cur.pos = i + 1
+    cur.expect("(")
+    sides = []
+    for close in ",)":
         cur.expect("[")
-        triples = []
-        while True:
-            cur.expect("(")
-            u = _parse_value(cur)
-            cur.expect(",")
-            v = _parse_value(cur)
-            cur.expect(",")
-            w = _parse_value(cur)
-            cur.expect(")")
-            triples.append(freedist.Triple(u, v, w))
-            if cur.peek() != ",":
-                break
+        names = [] if cur.peek() == "]" else [cur.name()]
+        while names and cur.peek() == ",":
             cur.next()
-        cur.expect("]")
-        cur.expect(")")
-        return freedist.Node(projection, tuple(triples))
-    shown = tok or "end of input"
-    raise cur.error(f"expected a value, found {shown!r}", at)
-
-
-def _parse_name_list(cur: _Cursor) -> list:
-    cur.expect("[")
-    names = []
-    if cur.peek() != "]":
-        while True:
             names.append(cur.name())
-            if cur.peek() != ",":
-                break
-            cur.next()
-    cur.expect("]")
-    return names
+        cur.expect("]")
+        cur.expect(close)
+        sides.append(names)
+    return _pair(cur, i, *sides), cur.pos
+
+
+def _pair(cur: _Cursor, at: int, pos: list, neg: list):
+    """The pair read at token index at; its name lists strictly increase."""
+    try:
+        p = pairs.PairElem(frozenset(pos), frozenset(neg))
+    except ValueError as exc:
+        raise cur.error(str(exc), at) from None
+    if pos != sorted(p.pos) or neg != sorted(p.neg):
+        raise cur.error("names in a pair must be strictly increasing", at)
+    return p

@@ -96,6 +96,104 @@ def test_deserialize_rejects_invalid_forms():
         deserialize(f"red(pair([],[]); [{triple},{triple}])")
 
 
+T = "(pair([x],[]),pair([],[x]),top)"
+ORDER = "names in a pair must be strictly increasing"
+
+# Malformed values and the ParseError each one raises: one row or more for
+# every error branch of the value reader.  A pair written without whitespace
+# is read as one atom token, any other pair token by token, so several faults
+# appear on both paths.
+MALFORMED_VALUES = [
+    # unexpected character
+    ("pair([a],[b])%", "1:14: unexpected character '%'"),
+    ("pair([a],[%])", "1:11: unexpected character '%'"),
+    # not a value
+    ("", "1:1: expected a value, found 'end of input'"),
+    ("nope", "1:1: expected a value, found 'nope'"),
+    ("red(", "1:5: expected a value, found 'end of input'"),
+    # missing '(', ';', '[', ',', ')' or ']' in red(...)
+    ("red", "1:4: expected '(', found 'end of input'"),
+    ("red pair([],[]); [" + T + "])", "1:5: expected '(', found 'pair'"),
+    ("red(pair([],[]) [" + T + "])", "1:17: expected ';', found '['"),
+    ("red(top pair([],[]))", "1:9: expected ';', found 'pair'"),
+    ("red(pair([],[]); " + T + ")", "1:18: expected '[', found '('"),
+    ("red(pair([],[]); [(pair([x],[]) pair([],[x]),top)])", "1:33: expected ',', found 'pair'"),
+    ("red(pair([],[]); [(pair([x],[]),pair([],[x]),top])", "1:49: expected ')', found ']'"),
+    ("red(pair([],[]); [" + T + " (top,top,top)])", "1:51: expected ']', found '('"),
+    ("red(pair([],[]); [" + T + "]", "1:51: expected ')', found 'end of input'"),
+    ("red(pair([],[]); [" + T + "] pair([],[]))", "1:52: expected ')', found 'pair'"),
+    # an empty triple list, and a trailing comma in one
+    ("red(pair([],[]); [])", "1:19: expected '(', found ']'"),
+    ("red(pair([],[]); [" + T + ",])", "1:51: expected '(', found ']'"),
+    # missing '(', '[', ',', ')' or ']' in pair(...), or a bad name list
+    ("pair[a],[])", "1:5: expected '(', found '['"),
+    ("pair(a],[])", "1:6: expected '[', found 'a'"),
+    ("pair(pair([],[]),[])", "1:6: expected '[', found 'pair'"),
+    ("pair([a] [])", "1:10: expected ',', found '['"),
+    ("pair([a],[]", "1:12: expected ')', found 'end of input'"),
+    ("pair([x],[x)", "1:12: expected ']', found ')'"),
+    ("pair([a b],[])", "1:9: expected ']', found 'b'"),
+    ("pair([a,],[])", "1:9: expected identifier"),
+    ("pair([,a],[])", "1:7: expected identifier"),
+    # overlapping sides, as an atom and token by token
+    ("pair([a],[a])", "1:1: pos and neg must be disjoint"),
+    ("pair( [a],[a])", "1:1: pos and neg must be disjoint"),
+    ("red(pair([],[]); [(pair([x],[]),pair([],[x]),pair([x,y],[x]))])",
+     "1:46: pos and neg must be disjoint"),
+    # names out of order or repeated, as an atom and token by token
+    ("pair([b,a],[])", "1:1: " + ORDER),
+    ("pair([a,a],[])", "1:1: " + ORDER),
+    ("pair([],[b,a])", "1:1: " + ORDER),
+    ("pair( [b,a],[])", "1:1: " + ORDER),
+    ("pair([a,a],[ b ])", "1:1: " + ORDER),
+    ("red(pair([],[]); [(pair([b,a],[]),pair([],[x]),top)])", "1:20: " + ORDER),
+    # trailing input, named by its first token
+    ("top top", "1:5: trailing input 'top'"),
+    ("pair([a],[])]", "1:13: trailing input ']'"),
+    ("pair([a],[b])pair([a],[b])", "1:14: trailing input 'pair'"),
+    ("top\n  pair([a],[])", "2:3: trailing input 'pair'"),
+    # positions on later lines
+    ("red(pair([],[]);\n [(pair([x],[]),pair([],[x]),\n  nope)])",
+     "3:3: expected a value, found 'nope'"),
+    ("red(pair([],[]);\n\t[(pair([x],[]),\n  pair([],[x]) top)])",
+     "3:16: expected ',', found 'top'"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_VALUES)
+def test_deserialize_names_each_fault(text, message):
+    with pytest.raises(ParseError) as err:
+        deserialize(text)
+    assert str(err.value) == message
+    line, col = message.split(":")[:2]
+    assert (err.value.line, err.value.col) == (int(line), int(col))
+
+
+def test_deserialize_accepts_whitespace_between_tokens():
+    for text in ("pair( [a],[])", " pair ( [ a ] , [ ] ) ", "pair([a],\n[])"):
+        assert deserialize(text) is deserialize("pair([a],[])")
+
+
+def test_deserialize_reads_spaced_text_as_the_same_object():
+    # Random whitespace between the tokens of serialize(v), inside pairs too,
+    # splits some pairs out of their one-token atom form; every spelling must
+    # read back as v itself.  Joins of up to three random values of rank <= 2
+    # give values of two or more triples.
+    rng = random.Random("expr:spaced")
+    gaps = ("", "", "", " ", "\t", "\n", " \n\t ")
+    wide = 0
+    for _ in range(300):
+        draws = rng.randint(1, 3)
+        v = freepairs.join_all(
+            [freepairs.random_elem(rng, ("x", "y", "z"), 2) for _ in range(draws)]
+        )
+        wide += len(getattr(v, "triples", ())) >= 2
+        tokens = expr._TOKEN.findall(serialize(v))
+        text = "".join(tok + rng.choice(gaps) for tok in tokens)
+        assert deserialize(rng.choice(gaps) + text) is v
+    assert wide >= 10
+
+
 def test_render_roundtrip():
     for text in ("0", "1", "a0(x)", "join(a0(x),a1(y))", "bowtie(0,1,1)"):
         assert expr.render(parse(text)) == text
