@@ -61,12 +61,12 @@ class _Cursor:
         self.tokens.append("")
         self.pos = 0
 
-    def error(self, message: str, index: int) -> ParseError:
-        """A ParseError at the start of token number index."""
+    def error(self, message: str, index: int, skip: int = 0) -> ParseError:
+        """A ParseError skip characters into token number index."""
         offset = len(self.text)
         for k, match in enumerate(self.token.finditer(self.text)):
             if k == index:
-                offset = match.start()
+                offset = match.start() + skip
                 break
         return ParseError(message, *_position(self.text, offset))
 
@@ -286,14 +286,23 @@ def _read_pair(cur: _Cursor, i: int):
     sides = []
     for close in ",)":
         cur.expect("[")
-        names = [] if cur.peek() == "]" else [cur.name()]
+        names = [] if cur.peek() == "]" else [_read_name(cur)]
         while names and cur.peek() == ",":
             cur.next()
-            names.append(cur.name())
+            names.append(_read_name(cur))
         cur.expect("]")
         cur.expect(close)
         sides.append(names)
     return _pair(cur, i, *sides), cur.pos
+
+
+def _read_name(cur: _Cursor) -> str:
+    """A name in a pair read token by token.  An atom token there is the
+    name ``pair`` followed by the '(' that ends the name list too early."""
+    tok = cur.name()
+    if tok.startswith("pair("):
+        raise cur.error("expected ']', found '('", cur.pos - 1, 4)
+    return tok
 
 
 def _pair(cur: _Cursor, at: int, pos: list, neg: list):

@@ -135,6 +135,11 @@ MALFORMED_VALUES = [
     ("pair([a b],[])", "1:9: expected ']', found 'b'"),
     ("pair([a,],[])", "1:9: expected identifier"),
     ("pair([,a],[])", "1:7: expected identifier"),
+    # a pair where a name belongs is the name 'pair' and a stray '('
+    ("pair([pair([],[])],[])", "1:11: expected ']', found '('"),
+    ("pair([a,pair([],[])],[])", "1:13: expected ']', found '('"),
+    ("pair( [a,pair([],[])],[])", "1:14: expected ']', found '('"),
+    ("pair([],[pair([],[])])", "1:14: expected ']', found '('"),
     # overlapping sides, as an atom and token by token
     ("pair([a],[a])", "1:1: pos and neg must be disjoint"),
     ("pair( [a],[a])", "1:1: pos and neg must be disjoint"),
