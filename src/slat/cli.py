@@ -137,7 +137,7 @@ def _generator_name(text: str) -> str:
 def _parse_name_set(text: str) -> frozenset:
     if text == "-":
         return frozenset()
-    names = text.split(",")
+    names = [name.strip() for name in text.split(",")]
     if "" in names:
         raise ValueError(f"empty name in {text!r}")
     from .conlat import distinct_names

@@ -630,6 +630,7 @@ def test_suite_empty_corpus_dir_exit_2(capsys, tmp_path):
     "names, message",
     [
         ("u,u", "name 'u' listed twice"),
+        ("u, u", "name 'u' listed twice"),
         ("u,,u", "empty name in 'u,,u'"),
         ("u,", "empty name in 'u,'"),
         (",", "empty name in ','"),
@@ -644,6 +645,12 @@ def test_descent_er_name_sets_follow_the_file_rules(capsys, fixture_file, names,
         code, out, err = run(capsys, "descent", fixture_file, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+
+def test_descent_er_name_sets_ignore_spaces_around_names(capsys, fixture_file):
+    # as in a free-set map's {a, b}
+    code, out, _ = run(capsys, "descent", fixture_file, "er", "0", "0", " u", "-")
+    assert code == 0 and out == "true\n"
 
 
 def test_suite_corpus_error_names_the_file(capsys, tmp_path):

@@ -71,13 +71,24 @@ def test_serialize_examples():
 
 
 def test_deserialize_roundtrip_random():
-    rng = random.Random("expr:roundtrip")
     names = ("x", "y", "z")
-    for _ in range(300):
-        v = freepairs.random_elem(rng, names, 2)
+    rng = random.Random("expr:roundtrip")
+    values = [freepairs.random_elem(rng, names, 2) for _ in range(300)]
+    # random_elem's joins mostly collapse to one triple, so joins of two to
+    # four bowties give the values with two and three triples
+    rng = random.Random("expr:roundtrip-wide")
+    values += [
+        freepairs.join_all(
+            freepairs.bowtie(*freepairs.random_triple(rng, names, 1))
+            for _ in range(rng.randint(2, 4))
+        )
+        for _ in range(300)
+    ]
+    for v in values:
         text = serialize(v)
         assert deserialize(text) == v
         assert serialize(deserialize(text)) == text
+    assert sum(len(getattr(v, "triples", ())) >= 3 for v in values) >= 10
 
 
 def test_deserialize_rejects_invalid_forms():

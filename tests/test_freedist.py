@@ -7,8 +7,6 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from slat import conlat, expr, freedist, freepairs, pairs
 from slat.freedist import (
@@ -1075,19 +1073,20 @@ def test_node_repr_unchanged():
     assert repr(n) == serialize(BASE, n)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(
-    st.integers(0, 63),
-    st.integers(0, 63),
-    st.sampled_from(("draw", "rebuild", "deserialize")),
-)
-def test_equality_matches_serialization_and_hash(i, j, how):
-    # y is drawn, or rebuilt from fresh containers, or parsed back from
-    # text: however it was built, equal serializations mean the same object
-    x = freepairs.random_elem(random.Random(i), ("x", "y"), max_rank=2)
-    y = freepairs.random_elem(random.Random(j), ("x", "y"), max_rank=2)
-    if how == "rebuild":
-        y = rebuild(y)
-    elif how == "deserialize":
-        y = expr.deserialize(serialize(BASE, y))
-    assert (serialize(BASE, x) == serialize(BASE, y)) == (x is y) == (x == y)
+def test_equality_matches_serialization_and_hash():
+    # every x seed, y seed and build of y: y is drawn, or rebuilt from fresh
+    # containers, or parsed back from text, and however it was built, equal
+    # serializations mean the same object
+    builds = (
+        lambda y: y,
+        rebuild,
+        lambda y: expr.deserialize(serialize(BASE, y)),
+    )
+    xs = [freepairs.random_elem(random.Random(i), ("x", "y"), max_rank=2) for i in range(64)]
+    ys = [freepairs.random_elem(random.Random(j), ("x", "y"), max_rank=2) for j in range(64)]
+    for x, y, build in itertools.product(xs, ys, builds):
+        y = build(y)
+        assert (serialize(BASE, x) == serialize(BASE, y)) == (x is y) == (x == y)
+    # the grid meets nodes, and distinct seeds that draw one value
+    assert any(isinstance(x, Node) for x in xs)
+    assert any(x is y for x, y in itertools.combinations(xs, 2))
