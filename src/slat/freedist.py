@@ -38,6 +38,14 @@ own projection with no triples):
   4. ``psi``    -- drop triples whose first or last entry sits below the
                    projection and package the survivors.
 
+A join skips steps 2 and 4 when ``phi``'s projection is the projection of
+each operand that brings triples (a lower-rank operand brings none, so it
+need only lie below the other's projection).  That is sound: a merged
+pair's third entry lies below neither operand's projection and would
+raise the joined one, so no pair merged and the triples left are the
+operands' own; none of them has an entry below its own projection, which
+is the joined one, so step 2 has no candidate and ``psi`` drops nothing.
+
 The swapped pairs are disjoint and a merge adds only to the projection,
 so step 1 has no choice to make.  The choice inside step 2's fixpoint is
 resolved lexicographically by serialization; ``join_with_order`` replays
@@ -148,7 +156,9 @@ def triple_key(base, t: Triple):
 def make_node(base, projection, triples):
     """Package a projection and surviving triples as a canonical element,
     the triples in the order of their memoized ``triple_key``."""
-    ts = sorted(set(triples), key=partial(triple_key, base))
+    if not isinstance(triples, frozenset):
+        triples = set(triples)
+    ts = sorted(triples, key=partial(triple_key, base))
     if not ts:
         return projection
     return Node(projection, tuple(ts))
@@ -184,7 +194,8 @@ def join_with_order(base, x, y, rng):
 
 
 def join_all(base, items):
-    acc = base.ZERO
+    items = iter(items)
+    acc = next(items, base.ZERO)
     for it in items:
         acc = join(base, acc, it)
     return acc
@@ -194,6 +205,9 @@ def _rewrite_join(base, x, y, rng):
     px, tx, py, ty = _at_common_rank(x, y)
     ts = frozenset(tx + ty)
     p, rest = phi(base, px, py, ts, step1(base, ts))
+    if (p == px or not tx) and (p == py or not ty):
+        # p settles both operands: step 2 and psi have nothing to do.
+        return make_node(base, p, rest)
     while (nxt := step2(base, p, rest, rng)) is not None:
         p, rest = nxt
     return psi(base, p, rest)
@@ -217,6 +231,8 @@ def step1(base, ts: frozenset):
 
 def phi(base, px, py, ts: frozenset, merged):
     """Join the projections and the merged third entries: (it, the rest)."""
+    if px == py and not merged:
+        return px, ts
     vals = {px, py}
     if merged:
         vals.update(t.w for t in merged)

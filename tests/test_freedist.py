@@ -42,6 +42,7 @@ A0 = gen(0, "x")
 A1 = gen(1, "x")
 B0 = gen(0, "y")
 B1 = gen(1, "y")
+C1 = gen(1, "z")
 
 
 class TableBase:
@@ -427,13 +428,33 @@ class OperandGen:
                 return kind, y
 
 
+def settles(x, y):
+    """Whether the lifted kernel's joined projection is the projection of
+    each operand of the higher rank: the join then has no triple to absorb
+    or drop, and the kernel returns before step 2."""
+    r = max(helpers.lifted_rank(x), helpers.lifted_rank(y))
+    ws = helpers.lifted_set(x, y)
+    p, _ = helpers.lifted_phi(BASE, helpers.lifted_step1(ws) or ws)
+    return all(p == q.proj for q in (x, y) if helpers.lifted_rank(q) == r)
+
+
 def assert_kernel_matches_lifted_oracle(x, y, seed):
-    """leq both ways, join and a reordered join against the lifted kernel."""
+    """leq both ways, join and a reordered join against the lifted kernel.
+    A reordered join that settles both operands draws nothing from its rng,
+    so the seeded confluence checks keep their draws.  Returns whether the
+    pair settles."""
     assert leq(BASE, x, y) == helpers.lifted_leq(BASE, x, y)
     assert leq(BASE, y, x) == helpers.lifted_leq(BASE, y, x)
-    assert join(BASE, x, y) == helpers.lifted_join(BASE, x, y)
-    got = join_with_order(BASE, x, y, random.Random(seed))
+    want = helpers.lifted_join(BASE, x, y)
+    assert join(BASE, x, y) == want
+    order = random.Random(seed)
+    before = order.getstate()
+    got = join_with_order(BASE, x, y, order)
     assert got == helpers.lifted_join(BASE, x, y, random.Random(seed))
+    settled = settles(x, y)
+    if settled:
+        assert got == want and order.getstate() == before
+    return settled
 
 
 def test_kernel_matches_lifted_oracle_on_seeded_operands():
@@ -443,16 +464,23 @@ def test_kernel_matches_lifted_oracle_on_seeded_operands():
         ops = OperandGen(rng, ("x", "y", "z", "w")[: rng.randint(3, 4)])
         x = ops.operand(rng.randint(1, 2), rng.randint(2, 4))
         kind, y = ops.partner(x)
-        assert_kernel_matches_lifted_oracle(x, y, f"lifted-oracle:{i}")
+        settled = assert_kernel_matches_lifted_oracle(x, y, f"lifted-oracle:{i}")
         seen[kind] += 1
         seen["mixed rank"] += helpers.lifted_rank(x) != helpers.lifted_rank(y)
         seen["rank 2"] += helpers.lifted_rank(x) == helpers.lifted_rank(y) == 2
         seen["x <= y"] += leq(BASE, x, y)
-        seen["step 1 fires"] += helpers.lifted_step1(helpers.lifted_set(x, y)) is not None
+        fires = helpers.lifted_step1(helpers.lifted_set(x, y)) is not None
+        seen["step 1 fires"] += fires
+        seen["settled"] += settled
+        seen["settled, mixed rank"] += settled and helpers.lifted_rank(x) != helpers.lifted_rank(y)
+        seen["equal projections, step 1 fires"] += fires and x.proj == y.proj
     # every kind of pair is drawn, and the order and the rewrite are reached
     assert min(seen[k] for k in ("fresh", "above", "mirror")) >= 200, seen
     assert seen["mixed rank"] >= 300 and seen["rank 2"] >= 300, seen
     assert seen["x <= y"] >= 200 and seen["step 1 fires"] >= 150, seen
+    # both sides of the settled-projection return are reached
+    assert seen["settled"] >= 300 and seen["settled, mixed rank"] >= 100, seen
+    assert seen["equal projections, step 1 fires"] >= 40, seen
 
 
 def test_kernel_matches_lifted_oracle_by_hand():
@@ -471,6 +499,10 @@ def test_kernel_matches_lifted_oracle_by_hand():
         "equal nonzero projections": (
             join(BASE, x, B1), join(BASE, join(BASE, s3, s2), B1)
         ),
+        # a swapped pair split across equal projections raises the projection
+        "swapped pair at equal projections": (
+            join(BASE, x, C1), join(BASE, bowtie(BASE, B0, A0, B0), C1)
+        ),
         # one triple held by both operands
         "shared triple": (join(BASE, s1, s3), join(BASE, s1, s2)),
         # swapped pairs split across the operands
@@ -487,6 +519,12 @@ def test_kernel_matches_lifted_oracle_by_hand():
     assert proj(x) == proj(cases["equal projections"][1]) == ZERO
     assert set(x.triples) & set(cases["shared triple"][1].triples)
     assert join(BASE, *cases["swapped pairs split"]) == join(BASE, ONE, B0)
+    a, b = cases["swapped pair at equal projections"]
+    assert proj(a) == proj(b) == C1
+    assert join(BASE, a, b) == Node(join(BASE, B0, C1), s1.triples)
+    # a join that settles both operands returns the one with the triples
+    for v in (x, deep, a):
+        assert join(BASE, v, v.proj) is v and join(BASE, ZERO, v) is v
 
 
 # -- canonical order ---------------------------------------------------------
@@ -580,6 +618,22 @@ def test_join_idempotent_zero_neutral():
     assert join(BASE, x, x) == x
     assert join(BASE, x, ZERO) == x
     assert join(BASE, ZERO, ZERO) == ZERO
+
+
+def test_join_all_folds_from_the_first_item():
+    # no item and one item are answered without a join
+    x = bowtie(BASE, A0, A1, ONE)
+    before = join.cache_info()
+    assert freedist.join_all(BASE, ()) is ZERO
+    assert freedist.join_all(BASE, [x]) is x
+    assert freedist.join_all(BASE, iter([B0])) is B0
+    assert join.cache_info() == before
+    # the same join as the fold from zero, on lists of every length up to 5
+    rng = random.Random("freedist:join-all")
+    for _ in range(120):
+        items = [freepairs.random_elem(rng, ("x", "y"), 2) for _ in range(rng.randint(0, 5))]
+        want = functools.reduce(lambda a, b: join(BASE, a, b), items, ZERO)
+        assert freedist.join_all(BASE, iter(items)) == want
 
 
 def test_join_mixed_rank():
