@@ -38,13 +38,13 @@ own projection with no triples):
   4. ``psi``    -- drop triples whose first or last entry sits below the
                    projection and package the survivors.
 
-A join skips steps 2 and 4 when ``phi``'s projection is the projection of
-each operand that brings triples (a lower-rank operand brings none, so it
-need only lie below the other's projection).  That is sound: a merged
-pair's third entry lies below neither operand's projection and would
-raise the joined one, so no pair merged and the triples left are the
-operands' own; none of them has an entry below its own projection, which
-is the joined one, so step 2 has no candidate and ``psi`` drops nothing.
+A join skips ``step2`` and ``psi`` when ``phi``'s projection is the
+projection of each operand that brings triples (a lower-rank operand
+brings none, so it need only lie below the other's projection).  That is
+sound: a merged pair's third entry lies below neither operand's
+projection and would raise the joined one, so no pair merged and the
+triples left are the operands' own, none with an entry below its own
+projection, the joined one: ``step2`` has no candidate, ``psi`` no drop.
 
 The swapped pairs are disjoint and a merge adds only to the projection,
 so step 1 has no choice to make.  The choice inside step 2's fixpoint is
@@ -154,8 +154,8 @@ def triple_key(base, t: Triple):
 
 
 def make_node(base, projection, triples):
-    """Package a projection and surviving triples as a canonical element,
-    the triples in the order of their memoized ``triple_key``."""
+    """Package a projection and surviving triples, deduplicated unless a
+    frozenset, as a canonical element in memoized ``triple_key`` order."""
     if not isinstance(triples, frozenset):
         triples = set(triples)
     ts = sorted(triples, key=partial(triple_key, base))
